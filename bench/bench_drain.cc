@@ -1,14 +1,13 @@
-// Drain-coalescing measurement: scope drain throughput as batch-per-tick,
-// scope count and history fraction vary.  Sample-and-hold (Section 4.2)
-// means that between two polls only the last value per signal is
-// displayable, so a display-only drain should cost O(live signals) per tick
-// — the block's last-wins summary — instead of O(batch) per scope.  The
-// "before" rows run the same library with coalescing disabled
-// (ScopeOptions::coalesce_display_only = false), i.e. the pre-coalescing
-// per-sample drain, interleaved with the "after" rows in the same process
-// (the BENCH_fanout.json methodology).  history=100% attaches an
-// every-sample sink to every signal of every scope: that path must not
-// regress, it bypasses the fold by design.
+// Drain-coalescing measurement: scope drain throughput as batch-per-tick
+// and scope count vary, for display-only scopes and for history scopes.
+// Sample-and-hold (Section 4.2) means that between two polls only the last
+// value per signal is displayable, so a display-only drain costs O(live
+// signals) per tick — the block's last-wins summary — instead of O(batch)
+// per scope.  history attaches an every-sample sink to every signal of
+// every scope: that path bypasses the fold by design.  The two arms are
+// interleaved in one process (the BENCH_fanout.json methodology).  Every
+// run self-checks: each scope ends on the last value per signal, and the
+// history sinks observe every sample.
 //
 // Usage: bench_drain [tuples_per_config] [rounds]
 //   (defaults 200000 and 3; smoke runs pass less)
@@ -36,8 +35,6 @@ constexpr int kSignals = 8;
 
 struct DrainRunResult {
   int64_t tuples = 0;  // appended (each fans out to every scope)
-  int64_t coalesced = 0;
-  int64_t retained = 0;
   double cpu_seconds = 0.0;
   double tuples_per_cpu_sec() const { return cpu_seconds > 0 ? tuples / cpu_seconds : 0; }
 };
@@ -45,8 +42,7 @@ struct DrainRunResult {
 // One config: `scopes` display targets, kSignals live signals, `batch`
 // samples per signal per tick, driven for `ticks` deterministic SimClock
 // ticks through one inline-fan-out router (drain cost is what varies).
-DrainRunResult RunDrain(int num_scopes, int batch, int ticks, bool coalesce,
-                        bool history) {
+DrainRunResult RunDrain(int num_scopes, int batch, int ticks, bool history) {
   gscope::SimClock clock;
   gscope::MainLoop loop(&clock);
   gscope::IngestRouter router({.fanout_shards = 1, .worker_threads = 0});
@@ -54,9 +50,7 @@ DrainRunResult RunDrain(int num_scopes, int batch, int ticks, bool coalesce,
   std::vector<std::unique_ptr<gscope::Scope>> scopes;
   for (int i = 0; i < num_scopes; ++i) {
     scopes.push_back(std::make_unique<gscope::Scope>(
-        &loop, gscope::ScopeOptions{.name = "sink" + std::to_string(i),
-                                    .width = 128,
-                                    .coalesce_display_only = coalesce}));
+        &loop, gscope::ScopeOptions{.name = "sink" + std::to_string(i), .width = 128}));
     scopes.back()->SetPollingMode(5);
     scopes.back()->StartPolling();
     router.AddScope(scopes.back().get());
@@ -123,8 +117,6 @@ DrainRunResult RunDrain(int num_scopes, int batch, int ticks, bool coalesce,
         std::exit(1);
       }
     }
-    result.coalesced += scope->counters().samples_coalesced;
-    result.retained += scope->counters().samples_retained;
   }
   if (history &&
       sink_hits != static_cast<int64_t>(num_scopes) * (ticks + 3) * kSignals * batch) {
@@ -152,32 +144,19 @@ int main(int argc, char** argv) {
   std::printf("Drain coalescing: %d signals, %d tuples per config, best of %d "
               "interleaved rounds\n\n",
               kSignals, total, rounds);
-  std::printf("%-7s %-6s %-9s %-14s %-14s %-9s %-14s %-9s\n", "scopes", "batch", "mode",
-              "before/cpu-s", "after/cpu-s", "speedup", "hist/cpu-s", "hist-reg");
+  std::printf("%-7s %-6s %-14s %-14s\n", "scopes", "batch", "disp/cpu-s", "hist/cpu-s");
 
   for (int num_scopes : {1, 16, 64}) {
     for (int batch : {32, 128, 512}) {
       int ticks = std::max(3, total / (kSignals * batch));
-      double best_before = 0, best_after = 0, best_hist_before = 0, best_hist_after = 0;
+      double best_disp = 0, best_hist = 0;
       for (int r = 0; r < rounds; ++r) {
-        // Interleaved: before, after, before-history, after-history.
-        best_before = std::max(
-            best_before,
-            RunDrain(num_scopes, batch, ticks, false, false).tuples_per_cpu_sec());
-        best_after = std::max(
-            best_after,
-            RunDrain(num_scopes, batch, ticks, true, false).tuples_per_cpu_sec());
-        best_hist_before = std::max(
-            best_hist_before,
-            RunDrain(num_scopes, batch, ticks, false, true).tuples_per_cpu_sec());
-        best_hist_after = std::max(
-            best_hist_after,
-            RunDrain(num_scopes, batch, ticks, true, true).tuples_per_cpu_sec());
+        best_disp = std::max(best_disp,
+                             RunDrain(num_scopes, batch, ticks, false).tuples_per_cpu_sec());
+        best_hist = std::max(best_hist,
+                             RunDrain(num_scopes, batch, ticks, true).tuples_per_cpu_sec());
       }
-      std::printf("%-7d %-6d %-9s %-14.0f %-14.0f %-9.2f %-14.0f %-9.2f\n", num_scopes,
-                  batch, "disp", best_before, best_after,
-                  best_before > 0 ? best_after / best_before : 0, best_hist_after,
-                  best_hist_before > 0 ? best_hist_after / best_hist_before : 0);
+      std::printf("%-7d %-6d %-14.0f %-14.0f\n", num_scopes, batch, best_disp, best_hist);
     }
   }
   std::printf("\npaper behaviour: sample-and-hold displays the last value per signal per\n"

@@ -92,15 +92,20 @@ void BM_EventCapture_SampleAndHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCapture_SampleAndHold)->Arg(1)->Arg(16)->Arg(256);
 
-// Buffered-signal path: push + delayed drain through the scope buffer.
+// Buffered-signal path: one push + one drain tick through the scope's
+// ingest queue, on a SimClock advancing 1 ms per iteration.
 void BM_BufferedPushDrain(benchmark::State& state) {
-  gscope::SampleBuffer buffer;
-  int64_t t = 0;
+  gscope::SimClock clock;
+  gscope::MainLoop loop(&clock);
+  gscope::Scope scope(&loop, {.name = "bench", .width = 64});
+  gscope::SignalId id = scope.AddSignal({.name = "s", .source = gscope::BufferSource{}});
+  scope.TickOnce();  // starts scope time
   for (auto _ : state) {
-    ++t;
-    buffer.Push({t, 1.0, "s"}, t, 0);
-    benchmark::DoNotOptimize(buffer.DrainDisplayable(t, 0));
+    clock.AdvanceMs(1);
+    scope.PushBuffered(id, scope.NowMs(), 1.0);
+    scope.TickOnce();
   }
+  benchmark::DoNotOptimize(scope.LatestRaw(id));
 }
 BENCHMARK(BM_BufferedPushDrain);
 

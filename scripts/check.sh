@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus Release-mode bench smokes, an ASan+UBSan pass over the
-# net/control tests with a control-channel smoke (subscribe, push, assert
-# echoed tuples), and a TSan pass over the sharded fan-out, so the ingest
-# fast paths and the new bidirectional control path cannot silently rot.
+# Tier-1 verify, the end-to-end benchmark's self-test, Release-mode bench
+# smokes, an ASan+UBSan pass over the net/control tests with a
+# control-channel smoke (subscribe, push, assert echoed tuples), and a TSan
+# pass over the sharded fan-out, so the ingest fast paths and the new
+# bidirectional control path cannot silently rot.
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
@@ -16,6 +17,12 @@ cmake --build "$build_dir" -j
 # on its own right after (same coverage as one flat `ctest -j`).
 ctest --test-dir "$build_dir" --output-on-failure -L fast -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -L stress
+
+echo "--- e2ebench self-test: reference checkers and workload smokes ---"
+# Builds the end-to-end benchmark from src/ (into .bench_build/) and runs
+# the tests of its own logic, so its delivery checkers - which count lost,
+# duplicated and reordered tuples - and its workload smokes cannot rot.
+(cd "$repo_root" && python3 e2ebench/run.py --self-test)
 
 echo "--- bench smoke: tuple codec ---"
 "$build_dir/bench_tuple_codec" --benchmark_min_time=0.05

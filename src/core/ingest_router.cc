@@ -23,6 +23,7 @@ size_t PickWorkers(const IngestRouterOptions& options) {
 IngestRouter::IngestRouter(IngestRouterOptions options)
     : options_(options),
       table_(std::make_shared<RouteTable>()),
+      block_pool_(options.block_pool),
       pool_(PickWorkers(options)) {
   if (options_.fanout_shards == 0) {
     options_.fanout_shards = 1;
@@ -108,31 +109,9 @@ bool IngestRouter::SlotExcludes(size_t s, std::string_view name) const {
   return filters_[s] != nullptr && !filters_[s]->Matches(name);
 }
 
-std::shared_ptr<IngestBlock> IngestRouter::AcquireBlock() {
-  for (const std::shared_ptr<IngestBlock>& pooled : block_pool_) {
-    // use_count 1 = only the pool holds it: every span that referenced it
-    // has been drained, so the sample storage can be reused in place.  The
-    // count is stable once it reaches 1 (consumers can only clone refs they
-    // still hold), but use_count() itself is a relaxed load with no
-    // ordering; copying the shared_ptr is an acquiring RMW on the same
-    // counter, which synchronizes with every consumer's release-decrement
-    // so their last reads happen-before the storage is reused.
-    if (pooled.use_count() == 1) {
-      std::shared_ptr<IngestBlock> acquired = pooled;
-      acquired->Clear();
-      return acquired;
-    }
-  }
-  auto fresh = std::make_shared<IngestBlock>();
-  if (block_pool_.size() < options_.block_pool) {
-    block_pool_.push_back(fresh);
-  }
-  return fresh;
-}
-
 void IngestRouter::EnsureBatch() {
   if (block_ == nullptr) {
-    block_ = AcquireBlock();
+    block_ = block_pool_.Acquire();
     SyncRoutes();
   }
 }
@@ -428,6 +407,9 @@ IngestRouter::FlushStats IngestRouter::Flush() {
     table_ = std::move(table);
     table_dirty_ = false;
   }
+  // Once per block, not per scope: time order lets every scope cut its late
+  // prefix at push and its displayable prefix at drain.
+  block_->SortByTime();
   flush_block_ = std::move(block_);
   flush_table_ = table_;
   flush_shards_ = pool_.worker_count() > 0

@@ -162,7 +162,9 @@ class IngestRouter {
     int64_t dropped_late = 0;
   };
   // Hands the accumulated batch to every scope as a span, sharded across the
-  // fan-out pool, and starts a fresh batch.  Blocks until all shards finish.
+  // fan-out pool, and starts a fresh batch.  A batch whose stamps ran
+  // backwards is stable-sorted by time first, once for all scopes.  Blocks
+  // until all shards finish.
   FlushStats Flush();
 
   // Diagnostics / tests (locked like the entry points, so STATS handlers on
@@ -206,7 +208,6 @@ class IngestRouter {
   void ReResolveRoute(uint32_t route);  // auto-create missing slots for one route
   void ShimPushUnresolved(uint32_t route, int64_t time_ms, double value);
   void ShimPushAll(std::string_view name, int64_t time_ms, double value);
-  std::shared_ptr<IngestBlock> AcquireBlock();
   void FanoutShard(size_t shard);
 
   IngestRouterOptions options_;
@@ -262,7 +263,7 @@ class IngestRouter {
   std::string ns_scratch_;
 
   // Batch state.
-  std::vector<std::shared_ptr<IngestBlock>> block_pool_;
+  BlockPool block_pool_;
   std::shared_ptr<IngestBlock> block_;  // active batch; null between batches
   int64_t shim_dropped_late_ = 0;
 

@@ -12,10 +12,10 @@
 // shared cache line would tax every poll even when nobody reads the stat.
 //
 // The same last-value-per-poll observation drives the scope drain's
-// last-wins coalescing (core/ingest_bus.h IngestBlock::RouteLast,
-// Scope::DrainSpanCoalesced, docs/perf.md): between two polling ticks only
-// the newest buffered sample per display-only signal is displayable, so the
-// drain folds a batch of N samples over K live signals into K hold writes.
+// last-wins coalescing (Scope::Fold, core/ingest_bus.h IngestBlock::RouteLast,
+// docs/perf.md): between two polling ticks only the newest buffered sample
+// per display-only signal is displayable, so the drain folds N samples over
+// K live signals into K hold writes.
 #ifndef GSCOPE_CORE_SAMPLE_HOLD_H_
 #define GSCOPE_CORE_SAMPLE_HOLD_H_
 

@@ -1,6 +1,5 @@
 #include "core/scope.h"
 
-#include <algorithm>
 #include <mutex>
 
 namespace gscope {
@@ -25,7 +24,6 @@ constexpr int kPaletteSize = static_cast<int>(sizeof(kPalette) / sizeof(kPalette
 Scope::Scope(MainLoop* loop, ScopeOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      buffer_(options_.buffer_capacity),
       ingest_spans_(options_.buffer_capacity) {
   if (options_.width <= 0) {
     options_.width = 512;
@@ -366,68 +364,48 @@ void Scope::SetDelayMs(int64_t delay_ms) {
 }
 
 bool Scope::PushBuffered(SignalId id, int64_t time_ms, double value) {
-  SampleKey key = id == 0 ? kUnmatchedSampleKey : static_cast<SampleKey>(id);
-  return buffer_.Push(key, time_ms, value, NowMs(), delay_ms());
+  Sample sample{time_ms, value, id == 0 ? kUnmatchedSampleKey : static_cast<SampleKey>(id)};
+  return ingest_spans_.Stage(&sample, 1, NowMs(), delay_ms()) == 1;
 }
 
 size_t Scope::PushBufferedBatch(const Sample* samples, size_t count) {
-  return buffer_.PushBatch(samples, count, NowMs(), delay_ms());
+  return ingest_spans_.Stage(samples, count, NowMs(), delay_ms());
 }
 
 size_t Scope::PushIngestSpan(const IngestSpan& span, int64_t now_ms) {
-  size_t n = span.size();
-  if (n == 0) {
+  if (span.size() == 0) {
     return 0;
   }
-  int64_t delay = delay_ms();
-  switch (ingest_spans_.Push(span, now_ms, delay)) {
-    case IngestSpanQueue::PushVerdict::kQueued:
-      return n;
-    case IngestSpanQueue::PushVerdict::kAllLate: {
-      // Samples whose slot id is 0 were delivered (and, if late, counted)
-      // through the name shim already — they are not this span's to drop.
-      // The common all-resolved case skips the scan: whole-span drop stays
-      // O(1).
-      size_t shim_served = 0;
-      // Filtered slots (and withheld unnamed samples) also leave id-0
-      // entries that are not this span's to drop; they force the same scan.
-      if (span.block->has_unresolved ||
-          (span.block->has_unnamed && !span.deliver_unnamed) ||
-          span.table->SlotFiltered(span.slot)) {
-        SampleKey key;
-        for (uint32_t i = span.begin; i < span.end; ++i) {
-          if (!TranslateSpanKey(span, span.block->samples[i], &key)) {
-            ++shim_served;
-          }
-        }
-      }
-      ingest_spans_.CountLateDrops(static_cast<int64_t>(n - shim_served));
-      return shim_served;
-    }
-    case IngestSpanQueue::PushVerdict::kMixed:
-      break;
-  }
-  // The span straddles the late-drop deadline: translate and push per sample
-  // through the regular buffer, which applies the per-sample policy.
-  size_t accepted = 0;
-  const IngestBlock& block = *span.block;
-  for (uint32_t i = span.begin; i < span.end; ++i) {
-    const Sample& sample = block.samples[i];
+  // The block is time-sorted, so the late samples (time + delay < now) form
+  // a prefix: count it and queue the on-time rest.
+  IngestSpan rest = span;
+  rest.begin = span.PartitionAfter(now_ms - delay_ms() - 1);
+  size_t late = rest.begin - span.begin;
+  // Samples whose slot id is 0 were delivered (and, if late, counted)
+  // through the name shim, or are excluded by the slot's filter: they are
+  // not this span's to drop.  The common all-resolved case skips the scan.
+  if (late > 0 && (span.block->has_unresolved ||
+                   (span.block->has_unnamed && !span.deliver_unnamed) ||
+                   span.table->SlotFiltered(span.slot))) {
     SampleKey key;
-    if (!TranslateSpanKey(span, sample, &key)) {
-      // Delivered out-of-band through the name shim (or unroutable by
-      // design): not this span's sample to accept or drop.
-      ++accepted;
-      continue;
-    }
-    if (buffer_.Push(key, sample.time_ms, sample.value, now_ms, delay)) {
-      ++accepted;
+    for (uint32_t i = span.begin; i < rest.begin; ++i) {
+      if (!TranslateSpanKey(span, span.block->samples[i], &key)) {
+        --late;
+      }
     }
   }
-  return accepted;
+  if (late > 0) {
+    ingest_spans_.CountLateDrops(static_cast<int64_t>(late));
+  }
+  ingest_spans_.Push(std::move(rest));
+  return span.size() - late;
 }
 
 bool Scope::TranslateSpanKey(const IngestSpan& span, const Sample& sample, SampleKey* key) {
+  if (span.table == nullptr) {
+    *key = sample.key;  // staged: already this scope's key
+    return true;
+  }
   if (sample.key == kUnnamedRouteKey) {
     if (!span.deliver_unnamed) {
       return false;  // withheld from subscription-filtered scopes
@@ -457,22 +435,21 @@ bool Scope::PushBuffered(std::string_view signal_name, int64_t time_ms, double v
       // still receives the sample, matching the old drain-time resolution.
       std::unique_lock<std::shared_mutex> lock(name_mu_);
       auto it = pending_names_.find(signal_name);
-      uint64_t index;
       if (it != pending_names_.end()) {
-        index = it->second;
+        key = kPendingNameKeyBit | it->second;
       } else if (pending_names_rev_.size() < 4096) {
-        index = pending_names_rev_.size();
+        key = kPendingNameKeyBit | pending_names_rev_.size();
+        pending_names_.emplace(std::string(signal_name), pending_names_rev_.size());
         pending_names_rev_.emplace_back(signal_name);
-        pending_names_.emplace(std::string(signal_name), index);
       } else {
         // Bound the interner against a stream of endless distinct unknown
         // names; beyond the cap they become plain unmatched samples.
-        return buffer_.Push(kUnmatchedSampleKey, time_ms, value, NowMs(), delay_ms());
+        key = kUnmatchedSampleKey;
       }
-      key = kPendingNameKeyBit | index;
     }
   }
-  return buffer_.Push(key, time_ms, value, NowMs(), delay_ms());
+  Sample sample{time_ms, value, key};
+  return ingest_spans_.Stage(&sample, 1, NowMs(), delay_ms()) == 1;
 }
 
 bool Scope::StartRecording(const std::string& path) {
@@ -539,96 +516,51 @@ bool Scope::OnPollTick(const TimeoutTick& tick) {
 }
 
 void Scope::SamplePolling(int64_t now_ms, int64_t lost) {
-  // First route freshly displayable buffered samples to their signals.  The
-  // scratch vector is reused across ticks: steady-state drains allocate
-  // nothing.
-  drain_scratch_.clear();
-  buffer_.DrainDisplayableInto(now_ms, delay_ms(), &drain_scratch_);
-  RouteBuffered(drain_scratch_);
-  // Then spans handed over by an ingest router (routed second: they carry
-  // the newest network batches).
-  DrainIngestSpans(now_ms);
-
+  // First route freshly displayable buffered samples to their signals.
+  DrainIngestQueue(now_ms);
   for (SignalState& state : signals_) {
     double raw = SampleSource(state);
     CommitSample(state, raw, lost, now_ms);
   }
 }
 
-void Scope::DrainIngestSpans(int64_t now_ms) {
-  if (ingest_spans_.span_count() == 0) {
+void Scope::DrainIngestQueue(int64_t now_ms) {
+  ingest_spans_.CollectDisplayable(now_ms, delay_ms(), &span_scratch_);
+  if (span_scratch_.empty()) {
     return;
   }
-  int64_t delay = delay_ms();
-  span_scratch_.clear();
-  ingest_spans_.CollectDisplayable(now_ms, delay, &span_scratch_);
+  ++fold_tick_;
+  folded_.clear();
   for (const IngestSpan& span : span_scratch_) {
     const IngestBlock& block = *span.block;
-    const bool whole = block.max_time_ms + delay <= now_ms;
-    if (whole && options_.coalesce_display_only && span.begin == 0 &&
-        span.end == block.samples.size() && !block.live.empty()) {
-      // Whole-block span, fully displayable: fold display-only routes to
-      // one hold write each via the block's last-wins summary (handles
-      // reordered stamps too — the summary tracks the (time, arrival)-max
-      // sample), walking samples only for routes that need history.
-      DrainSpanCoalesced(span);
+    if (span.begin == 0 && span.end == block.samples.size() && !block.live.empty()) {
+      FoldBlockSummary(span);
       continue;
     }
-    if (block.time_ordered && whole) {
-      // Whole span displayable, stamps in order, coalescing off or a
-      // partial-block span: route straight out of the shared block.
-      for (uint32_t i = span.begin; i < span.end; ++i) {
-        RouteSpanSample(span, block.samples[i]);
-      }
-      continue;
-    }
-    // Straddling and/or reordered: route the displayable part now (in time
-    // order, so sample-and-hold ends on the newest value), funnel the rest
-    // into the regular buffer so it drains time-sorted on a later tick.
-    span_sort_scratch_.clear();
     for (uint32_t i = span.begin; i < span.end; ++i) {
-      const Sample& sample = block.samples[i];
-      if (whole || sample.time_ms + delay <= now_ms) {
-        if (block.time_ordered) {
-          RouteSpanSample(span, sample);
-        } else {
-          span_sort_scratch_.push_back(sample);
-        }
-        continue;
-      }
-      SampleKey key;
-      if (!TranslateSpanKey(span, sample, &key)) {
-        continue;  // delivered out-of-band through the name shim
-      }
-      buffer_.Push(key, sample.time_ms, sample.value, now_ms, delay);
-    }
-    if (!span_sort_scratch_.empty()) {
-      std::stable_sort(span_sort_scratch_.begin(), span_sort_scratch_.end(),
-                       [](const Sample& a, const Sample& b) { return a.time_ms < b.time_ms; });
-      for (const Sample& sample : span_sort_scratch_) {
-        RouteSpanSample(span, sample);
-      }
+      DrainSample(span, block.samples[i]);
     }
   }
-  // Release the block references promptly so the router can recycle them.
+  if (buffered_tap_) {
+    for (uint32_t index : folded_) {
+      SettleFold(signals_[index]);
+    }
+  }
+  // Release the block references promptly so their pools can recycle them.
   span_scratch_.clear();
 }
 
-void Scope::DrainSpanCoalesced(const IngestSpan& span) {
+void Scope::FoldBlockSummary(const IngestSpan& span) {
   const IngestBlock& block = *span.block;
   const RouteTable& table = *span.table;
-  // Pass 1, O(live routes): fold every display-only route into its hold.
-  // History routes (and unnamed samples, which have no per-route consumer
-  // bit) are left for the per-sample walk below.
+  // Pass 1, O(live routes): fold every display-only route.  History routes
+  // (and unnamed samples, which have no per-route consumer bit) are left for
+  // the per-sample walk below; a history route whose signal folded in an
+  // earlier span of this tick settles that fold first, so the tap sees it
+  // before the newer walked samples.
   size_t walk_routes = 0;
   for (const IngestBlock::RouteLast& entry : block.live) {
     if (entry.route == kUnnamedRouteKey) {
-      if (span.deliver_unnamed) {
-        ++walk_routes;
-      }
-      continue;
-    }
-    if (table.SlotNeedsHistory(entry.route, span.slot)) {
       ++walk_routes;
       continue;
     }
@@ -636,87 +568,125 @@ void Scope::DrainSpanCoalesced(const IngestSpan& span) {
     if (id == 0) {
       continue;  // shim-served out-of-band, or excluded by the slot's filter
     }
-    SignalState* s = Find(id);
-    if (s == nullptr || s->spec.type() != SignalType::kBuffer) {
+    SignalState* s = FindBuffer(id);
+    if (table.SlotNeedsHistory(entry.route, span.slot)) {
+      ++walk_routes;
+      if (s != nullptr) {
+        SettleFold(*s);
+      }
+    } else if (s == nullptr) {
       counters_.buffered_unmatched += entry.count;
-      continue;
-    }
-    s->buffered_hold = entry.value;
-    s->buffered_hold_time_ms = entry.time_ms;
-    s->buffered_primed = true;
-    counters_.buffered_routed += entry.count;
-    counters_.samples_coalesced += entry.count - 1;
-    if (buffered_tap_) {
-      // A kCoalesced tap observes the winner; an every-sample tap never
-      // reaches this fold (its slots carry needs_history in the table).
-      buffered_tap_(s->spec.name, entry.time_ms, entry.value);
+    } else {
+      Fold(*s, entry.time_ms, entry.value, entry.count);
     }
   }
   if (walk_routes == 0) {
     return;
   }
-  // Pass 2, only when some live route needs history: deliver those samples
-  // one by one, in time order.  When EVERY live route takes the walk (e.g.
-  // an every-sample tap) the per-sample bit test is skipped entirely — the
-  // 100%-history drain must cost what it did before coalescing existed.
+  // Pass 2, only when some live route needs it, in queue order.  When EVERY
+  // live route takes the walk (e.g. an every-sample tap) the per-sample bit
+  // test is skipped entirely.  A history bit implies a non-zero id.
   const bool walk_all = walk_routes == block.live.size();
-  auto needs_walk = [&](const Sample& sample) {
+  for (uint32_t i = span.begin; i < span.end; ++i) {
+    const Sample& sample = block.samples[i];
     if (sample.key == kUnnamedRouteKey) {
-      return span.deliver_unnamed;
-    }
-    return table.SlotNeedsHistory(sample.key, span.slot);
-  };
-  if (block.time_ordered) {
-    for (uint32_t i = span.begin; i < span.end; ++i) {
-      if (walk_all || needs_walk(block.samples[i])) {
-        RouteSpanSample(span, block.samples[i]);
+      DrainSample(span, sample);  // no per-route bit: the signal decides
+    } else if (walk_all || table.SlotNeedsHistory(sample.key, span.slot)) {
+      SignalState* s = FindBuffer(table.IdFor(sample.key, span.slot));
+      if (s == nullptr) {
+        counters_.buffered_unmatched += 1;
+      } else {
+        RouteHistory(*s, sample.time_ms, sample.value);
       }
     }
-    return;
-  }
-  span_sort_scratch_.clear();
-  for (uint32_t i = span.begin; i < span.end; ++i) {
-    if (walk_all || needs_walk(block.samples[i])) {
-      span_sort_scratch_.push_back(block.samples[i]);
-    }
-  }
-  std::stable_sort(span_sort_scratch_.begin(), span_sort_scratch_.end(),
-                   [](const Sample& a, const Sample& b) { return a.time_ms < b.time_ms; });
-  for (const Sample& sample : span_sort_scratch_) {
-    RouteSpanSample(span, sample);
   }
 }
 
-void Scope::RouteSpanSample(const IngestSpan& span, const Sample& sample) {
+void Scope::DrainSample(const IngestSpan& span, const Sample& sample) {
+  SampleKey key;
+  if (!TranslateSpanKey(span, sample, &key)) {
+    return;  // delivered out-of-band through the name shim, or filtered
+  }
   SignalState* s = nullptr;
-  if (sample.key == kUnnamedRouteKey) {
-    if (!span.deliver_unnamed) {
-      return;  // withheld from subscription-filtered scopes
-    }
+  if (key == kUnnamedSampleKey) {
     // Single-signal special case: time-value tuples go to the sole BUFFER
     // signal.
     s = FirstBufferSignal();
-  } else {
-    SignalId id = span.table->IdFor(sample.key, span.slot);
-    if (id == 0) {
-      return;  // delivered out-of-band through the name shim, or unroutable
+  } else if (key == kUnmatchedSampleKey) {
+    // explicitly-unknown id; falls through to the unmatched counter
+  } else if ((key & kPendingNameKeyBit) != 0) {
+    // Name unknown at push time: re-resolve now.
+    std::shared_lock<std::shared_mutex> lock(name_mu_);
+    uint64_t index = key & ~kPendingNameKeyBit;
+    if (index < pending_names_rev_.size()) {
+      auto it = name_index_.find(pending_names_rev_[index]);
+      if (it != name_index_.end()) {
+        s = FindBuffer(it->second);
+      }
     }
-    s = Find(id);
+  } else {
+    s = FindBuffer(static_cast<SignalId>(key));
   }
-  if (s == nullptr || s->spec.type() != SignalType::kBuffer) {
+  if (s == nullptr) {
     counters_.buffered_unmatched += 1;
     return;
   }
-  s->buffered_hold = sample.value;
-  s->buffered_hold_time_ms = sample.time_ms;
-  s->buffered_primed = true;
+  if (s->sinks.empty() && !TapNeedsHistory()) {
+    Fold(*s, sample.time_ms, sample.value, 1);
+    return;
+  }
+  // The signal may have folded earlier this tick (a consumer attached
+  // between two spans): settle that first, so the tap sees it before the
+  // newer walked samples.
+  SettleFold(*s);
+  RouteHistory(*s, sample.time_ms, sample.value);
+}
+
+void Scope::Fold(SignalState& state, int64_t time_ms, double value, uint32_t count) {
+  // The fold's losers still count as routed (they were accepted and
+  // attributed); samples_coalesced records how many skipped the per-sample
+  // walk.
+  counters_.buffered_routed += count;
+  if (state.fold_tick != fold_tick_) {
+    state.fold_tick = fold_tick_;
+    counters_.samples_coalesced += count - 1;
+    if (buffered_tap_) {
+      folded_.push_back(static_cast<uint32_t>(&state - signals_.data()));
+    }
+  } else {
+    counters_.samples_coalesced += count;
+    if (time_ms < state.buffered_hold_time_ms) {
+      return;  // the newest (time, arrival) wins; ties go to the later one
+    }
+  }
+  state.buffered_hold = value;
+  state.buffered_hold_time_ms = time_ms;
+  state.buffered_primed = true;
+}
+
+void Scope::RouteHistory(SignalState& state, int64_t time_ms, double value) {
+  state.buffered_hold = value;
+  state.buffered_hold_time_ms = time_ms;
+  state.buffered_primed = true;
   counters_.buffered_routed += 1;
   counters_.samples_retained += 1;
-  if (!s->sinks.empty()) {
-    DispatchSinks(*s, sample.time_ms, sample.value);
+  if (!state.sinks.empty()) {
+    DispatchSinks(state, time_ms, value);
   }
   if (buffered_tap_) {
-    buffered_tap_(s->spec.name, sample.time_ms, sample.value);
+    buffered_tap_(state.spec.name, time_ms, value);
+  }
+}
+
+void Scope::SettleFold(SignalState& state) {
+  if (state.fold_tick != fold_tick_) {
+    return;  // nothing folded this tick, or already settled
+  }
+  state.fold_tick = 0;
+  if (buffered_tap_) {
+    // Only a kCoalesced tap can reach here: an every-sample tap keeps every
+    // signal on the history path.
+    buffered_tap_(state.spec.name, state.buffered_hold_time_ms, state.buffered_hold);
   }
 }
 
@@ -781,81 +751,6 @@ bool Scope::SamplePlayback(int64_t lost) {
   return saw_any || playback_pending_.has_value();
 }
 
-void Scope::RouteBuffered(const std::vector<Sample>& samples) {
-  const bool coalesce = options_.coalesce_display_only;
-  if (coalesce) {
-    ring_lastwins_.Begin();
-  }
-  for (const Sample& sample : samples) {
-    SignalState* s = nullptr;
-    if (sample.key == kUnnamedSampleKey) {
-      // Single-signal special case: time-value tuples go to the sole
-      // BUFFER signal.
-      s = FirstBufferSignal();
-    } else if (sample.key == kUnmatchedSampleKey) {
-      // explicitly-unknown id; falls through to the unmatched counter
-    } else if ((sample.key & kPendingNameKeyBit) != 0) {
-      // Name unknown at push time: re-resolve now.
-      std::shared_lock<std::shared_mutex> lock(name_mu_);
-      uint64_t index = sample.key & ~kPendingNameKeyBit;
-      if (index < pending_names_rev_.size()) {
-        auto it = name_index_.find(pending_names_rev_[index]);
-        if (it != name_index_.end()) {
-          s = Find(it->second);
-        }
-      }
-    } else if ((sample.key & kShimNameKeyBit) != 0) {
-      // Pushed straight into buffer() through the legacy Tuple API: route
-      // by the interned name (cold path).
-      s = Find(FindSignal(buffer_.NameOf(sample.key)));
-    } else {
-      s = Find(static_cast<SignalId>(sample.key));
-    }
-    if (s == nullptr || s->spec.type() != SignalType::kBuffer) {
-      counters_.buffered_unmatched += 1;
-      continue;
-    }
-    if (coalesce && s->sinks.empty() && !TapNeedsHistory()) {
-      // Display-only: defer to the last-wins fold.  Samples arrive sorted
-      // by (time, push order), so the fold's winner is the sample the old
-      // per-sample walk would have left in the hold.
-      ring_lastwins_.Fold(static_cast<uint32_t>(s - signals_.data()), sample.time_ms,
-                          sample.value);
-      continue;
-    }
-    s->buffered_hold = sample.value;
-    s->buffered_hold_time_ms = sample.time_ms;
-    s->buffered_primed = true;
-    counters_.buffered_routed += 1;
-    counters_.samples_retained += 1;
-    if (!s->sinks.empty()) {
-      DispatchSinks(*s, sample.time_ms, sample.value);
-    }
-    if (buffered_tap_) {
-      buffered_tap_(s->spec.name, sample.time_ms, sample.value);
-    }
-  }
-  if (!coalesce) {
-    return;
-  }
-  for (const LastWinsTable::Entry& entry : ring_lastwins_.entries()) {
-    SignalState& s = signals_[entry.index];
-    s.buffered_hold = entry.value;
-    s.buffered_hold_time_ms = entry.time_ms;
-    s.buffered_primed = true;
-    // The fold's losers still count as routed (they were accepted and
-    // attributed); samples_coalesced records how many skipped the
-    // per-sample walk.
-    counters_.buffered_routed += entry.count;
-    counters_.samples_coalesced += entry.count - 1;
-    if (buffered_tap_) {
-      // Only a kCoalesced tap can reach here: an every-sample tap keeps
-      // every signal on the per-sample path above.
-      buffered_tap_(s.spec.name, entry.time_ms, entry.value);
-    }
-  }
-}
-
 double Scope::SampleSource(SignalState& state) {
   struct Visitor {
     SignalState& state;
@@ -910,6 +805,11 @@ const Scope::SignalState* Scope::Find(SignalId id) const {
   }
   uint32_t index = id_to_index_[static_cast<size_t>(id)];
   return index == 0 ? nullptr : &signals_[index - 1];
+}
+
+Scope::SignalState* Scope::FindBuffer(SignalId id) {
+  SignalState* s = Find(id);
+  return s != nullptr && std::holds_alternative<BufferSource>(s->spec.source) ? s : nullptr;
 }
 
 Scope::SignalState* Scope::FirstBufferSignal() {

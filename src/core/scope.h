@@ -25,8 +25,9 @@
 // number of missed columns (Section 4.5).
 //
 // Threading: all Scope methods must run on the loop thread, except
-// PushBuffered which is thread-safe (this is the paper's GTK-lock
-// discipline; cross-thread calls go through MainLoop::Invoke).
+// PushBuffered, PushBufferedBatch and PushIngestSpan, which are thread-safe
+// (this is the paper's GTK-lock discipline; cross-thread calls go through
+// MainLoop::Invoke).
 //
 // Concurrent mode (SetConcurrent): when the net layer shards sessions
 // across per-core loops, an IngestRouter running on another loop must read
@@ -55,7 +56,6 @@
 #include "core/aggregate.h"
 #include "core/filter.h"
 #include "core/ingest_bus.h"
-#include "core/sample_buffer.h"
 #include "core/signal_spec.h"
 #include "core/string_index.h"
 #include "core/trace.h"
@@ -77,14 +77,9 @@ struct ScopeOptions {
   int height = 256;
   // Playback: auto-create signals for tuple names not seen before.
   bool auto_create_playback_signals = true;
-  // Capacity of the scope-wide buffer for BUFFER signals.
+  // Samples the scope's one ingest queue holds for BUFFER signals: queued
+  // spans and staged direct pushes together.
   size_t buffer_capacity = 1 << 16;
-  // Last-wins drain coalescing (core/sample_hold.h): display-only BUFFER
-  // signals — no every-sample consumer attached — keep only the newest
-  // sample per drain tick, so a whole-span drain costs O(live signals)
-  // instead of O(batch).  Off = the pre-coalescing per-sample drain, kept as
-  // a kill switch and as the benchmark baseline (bench/bench_drain.cc).
-  bool coalesce_display_only = true;
 };
 
 // How a buffered tap (SetBufferedTap) interacts with drain coalescing.
@@ -93,11 +88,11 @@ enum class TapMode : uint8_t {
   // session echo): every signal of this scope needs the full history path.
   kEverySample,
   // The tap only wants what the display shows: for display-only signals it
-  // fires once per signal per drained span with that span's last-wins
-  // winner, and coalescing stays effective.  Signals that independently
-  // need history (a sample sink attached, or coalescing disabled) still
-  // deliver per sample to the tap — the tap never suppresses data a
-  // co-attached consumer forced onto the history path.
+  // fires once per signal per tick with the tick's last-wins winner,
+  // however many batches arrived, and coalescing stays effective.  Signals
+  // that independently need history (a sample sink attached) still deliver
+  // per sample to the tap — the tap never suppresses data a co-attached
+  // consumer forced onto the history path.
   kCoalesced,
 };
 
@@ -196,33 +191,34 @@ class Scope {
   // -- Buffered data (BUFFER signals) ---------------------------------------
 
   // Thread-safe, allocation-free push of a timestamped sample for the signal
-  // with id `id` (from FindSignal / AddSignal).  id 0 is accepted and counted
-  // as buffered_unmatched at drain time.  Returns false if the sample was
-  // late and dropped.  This is the steady-state ingest fast path.
+  // with id `id` (from FindSignal / AddSignal), staged into the scope's one
+  // ingest queue (IngestSpanQueue::Stage).  id 0 is accepted and counted as
+  // buffered_unmatched at drain time.  Returns false if the sample was late
+  // and dropped.
   bool PushBuffered(SignalId id, int64_t time_ms, double value);
 
-  // Batched fast path: pushes `count` pre-keyed samples (key = SignalId or
-  // the sample-buffer sentinels) with one scope-time read and one lock
-  // round-trip per buffer shard.  Returns the number accepted; rejects are
-  // late drops.  Thread-safe.
+  // Batched fast path: stages `count` pre-keyed samples (key = SignalId or
+  // the staged sentinels of core/ingest_bus.h) with one scope-time read and
+  // one lock round-trip.  Returns the number accepted; rejects are late
+  // drops.  Thread-safe.
   size_t PushBufferedBatch(const Sample* samples, size_t count);
 
   // Name-keyed shim over the id fast path: resolves `signal_name` through
   // the interned index (empty name = the single-signal special case, routed
-  // to the first BUFFER signal at drain time).  Thread-safe.
+  // to the first BUFFER signal at drain time; an unknown name is re-resolved
+  // at drain time).  Thread-safe.
   bool PushBuffered(std::string_view signal_name, int64_t time_ms, double value);
-  SampleBuffer& buffer() { return buffer_; }
 
   // O(1) span hand-off from an IngestRouter: the scope keeps a reference to
   // the shared parsed block instead of copying its samples, and translates
-  // route keys to its own signals at drain time.  A span whose newest sample
-  // already missed the display deadline is dropped whole; a span straddling
-  // the deadline degrades to per-sample pushes through the regular buffer.
-  // Returns the number of samples not rejected as late.  Thread-safe (the
-  // router's fan-out workers call this).  `now_ms` is the scope time the
-  // late-drop verdict is judged against; the router captures it on the loop
-  // thread at flush so worker scheduling latency cannot turn an on-time
-  // batch late.
+  // route keys to its own signals at drain time.  The block must be
+  // time-sorted (IngestRouter::Flush sorts it), so the samples that already
+  // missed the display deadline form a prefix: it is counted late and the
+  // rest of the span is queued.  Returns the number of samples not rejected
+  // as late.  Thread-safe (the router's fan-out workers call this).
+  // `now_ms` is the scope time the late-drop verdict is judged against; the
+  // router captures it on the loop thread at flush so worker scheduling
+  // latency cannot turn an on-time batch late.
   size_t PushIngestSpan(const IngestSpan& span, int64_t now_ms);
   size_t PushIngestSpan(const IngestSpan& span) { return PushIngestSpan(span, NowMs()); }
   IngestSpanQueue::Stats ingest_span_stats() const { return ingest_spans_.stats(); }
@@ -234,8 +230,8 @@ class Scope {
   // client.  In kEverySample mode (the default) the tap is an every-sample
   // consumer: it sees each sample before sample-and-hold decimates, and it
   // disables drain coalescing for the whole scope.  In kCoalesced mode it
-  // fires once per display-only signal per drained span with the last-wins
-  // winner (see TapMode::kCoalesced for the sink-attached caveat).  Null
+  // fires once per display-only signal per tick with the last-wins winner
+  // (see TapMode::kCoalesced for the sink-attached caveat).  Null
   // (default) disables the hook.  Changing the tap bumps consumers_epoch().
   using BufferedTapFn = std::function<void(std::string_view name, int64_t time_ms, double value)>;
   void SetBufferedTap(BufferedTapFn tap, TapMode mode = TapMode::kEverySample);
@@ -308,8 +304,8 @@ class Scope {
     // because only the newest value per display-only signal per tick is
     // displayable (each fold's winner still counts in buffered_routed).
     int64_t samples_coalesced = 0;
-    // Span samples delivered one by one through the history path (an
-    // every-sample consumer, an every-sample tap, or unnamed routing).
+    // Samples delivered one by one through the history path (an
+    // every-sample consumer or an every-sample tap).
     int64_t samples_retained = 0;
     bool playback_done = false;
   };
@@ -351,6 +347,9 @@ class Scope {
     double buffered_hold = 0.0;
     int64_t buffered_hold_time_ms = 0;  // producer stamp of the held sample
     bool buffered_primed = false;
+    // The per-tick last-wins fold: the drain tick that last folded into
+    // this signal (0 = none pending this tick).
+    uint64_t fold_tick = 0;
     // Every-sample sinks attached to this signal.  Stored per signal so the
     // history path dispatches in O(sinks on this signal), not O(all sinks
     // on the scope); non-empty = the signal needs the full history path.
@@ -360,25 +359,37 @@ class Scope {
   bool OnPollTick(const TimeoutTick& tick);
   void SamplePolling(int64_t now_ms, int64_t lost);
   bool SamplePlayback(int64_t lost);
-  void RouteBuffered(const std::vector<Sample>& samples);
-  void DrainIngestSpans(int64_t now_ms);
-  // Span-level last-wins fold: one hold write per live display-only route
-  // (O(live routes)), plus a per-sample history walk only when some live
-  // route needs it.  Requires a whole-block, fully displayable span.
-  void DrainSpanCoalesced(const IngestSpan& span);
-  void RouteSpanSample(const IngestSpan& span, const Sample& sample);
+  // Drains every displayable sample: display-only samples fold into their
+  // holds once per tick (Fold), history samples route in queue order.
+  void DrainIngestQueue(int64_t now_ms);
+  // A whole router block feeds the fold from its live summary in O(live
+  // routes), walking samples only for routes that need history.
+  void FoldBlockSummary(const IngestSpan& span);
+  void DrainSample(const IngestSpan& span, const Sample& sample);
+  // Folds `count` display-only samples whose newest is (time_ms, value): the
+  // newest (time, arrival) of the tick holds, and every other sample of the
+  // tick counts as coalesced.
+  void Fold(SignalState& state, int64_t time_ms, double value, uint32_t count);
+  void RouteHistory(SignalState& state, int64_t time_ms, double value);
+  // Ends the signal's pending fold of this tick, if any, and fires a
+  // kCoalesced tap with its winner: once per signal per tick, before any
+  // newer walked sample of the signal.
+  void SettleFold(SignalState& state);
   void DispatchSinks(const SignalState& state, int64_t time_ms, double value);
   // True when an every-sample tap makes every signal a history signal.
   bool TapNeedsHistory() const {
     return buffered_tap_ != nullptr && tap_mode_ == TapMode::kEverySample;
   }
-  // False for samples the name shim delivered out-of-band (slot id 0);
-  // otherwise sets *key to this scope's SampleKey for the sample.
+  // False for router samples the name shim delivered out-of-band or the
+  // slot's filter excludes (slot id 0); otherwise sets *key to this scope's
+  // SampleKey for the sample (staged samples already carry one).
   static bool TranslateSpanKey(const IngestSpan& span, const Sample& sample, SampleKey* key);
   double SampleSource(SignalState& state);
   void CommitSample(SignalState& state, double raw, int64_t lost, int64_t now_ms);
   SignalState* Find(SignalId id);
   const SignalState* Find(SignalId id) const;
+  // The BUFFER signal with id `id`; null for unknown ids and other types.
+  SignalState* FindBuffer(SignalId id);
   SignalState* FirstBufferSignal();
 
   MainLoop* loop_;
@@ -421,13 +432,12 @@ class Scope {
   std::atomic<uint64_t> consumers_epoch_{0};
 
   // Reused per-tick drain scratch (no steady-state allocation).
-  std::vector<Sample> drain_scratch_;
   std::vector<IngestSpan> span_scratch_;
-  // Re-sorting scratch for spans whose producer stamps ran backwards.
-  std::vector<Sample> span_sort_scratch_;
-  // Ring-path last-wins fold for display-only signals (dense by signal
-  // index; generation-stamped, reused every tick).
-  LastWinsTable ring_lastwins_;
+  // The per-tick last-wins fold: the current drain tick's stamp (see
+  // SignalState::fold_tick) and, when a tap must see the winners, the
+  // signals it folded in first-touch order.
+  uint64_t fold_tick_ = 0;
+  std::vector<uint32_t> folded_;
 
   AcquisitionMode mode_ = AcquisitionMode::kPolling;
   int64_t period_ms_ = 50;  // the paper's example default
@@ -443,7 +453,6 @@ class Scope {
   std::atomic<int64_t> delay_ms_{0};
   DisplayDomain domain_ = DisplayDomain::kTime;
 
-  SampleBuffer buffer_;
   IngestSpanQueue ingest_spans_;
 
   TupleReader playback_;

@@ -45,8 +45,9 @@ struct EventSource {
   std::shared_ptr<EventAggregator> aggregator;
 };
 
-// BUFFER source: values arrive through the scope's SampleBuffer keyed by the
-// signal's name; nothing is stored in the spec itself.
+// BUFFER source: timestamped values wait in the scope's ingest queue
+// (Scope::PushBuffered, IngestRouter spans) and are routed to the signal by
+// id or name at drain time; nothing is stored in the spec itself.
 struct BufferSource {};
 
 // Where one sampling point comes from.  Pointer alternatives reference

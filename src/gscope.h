@@ -17,7 +17,6 @@
 #include "core/file_probe.h"
 #include "core/filter.h"
 #include "core/params.h"
-#include "core/sample_buffer.h"
 #include "core/envelope.h"
 #include "core/fanout_pool.h"
 #include "core/ingest_bus.h"

@@ -40,7 +40,7 @@ struct RecorderOptions {
   // (deterministic embeddings/tests).  Not owned; must outlive the recorder.
   MainLoop* loop = nullptr;
   std::string name = "recorder";
-  // Buffer capacity of the capture scope (samples in flight per shard).
+  // Buffer capacity of the capture scope (samples it may hold in flight).
   size_t buffer_capacity = 1 << 16;
 };
 

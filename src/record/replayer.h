@@ -2,10 +2,11 @@
 // ingest path at Nx speed.
 //
 // The emit callback receives (name, time_ms, value) in recorded time order —
-// point it at IngestRouter::Append (or Scope::PushBuffered) and every
-// downstream consumer (triggers, aggregates, FFT, derived stages) runs
-// identically on recorded data, because nothing after the emit can tell a
-// replayed sample from a live one (the test_scope_playback seam).
+// point it at IngestRouter::Append (or Scope::PushBuffered; both land in the
+// scope's one ingest queue) and every downstream consumer (triggers,
+// aggregates, FFT, derived stages) runs identically on recorded data,
+// because nothing after the emit can tell a replayed sample from a live one
+// (the test_scope_playback seam).
 //
 // Pacing rides the driving loop's Clock: under a SimClock a replay is fully
 // deterministic, and RunForMs fast-forwards it; under the real clock

@@ -27,9 +27,8 @@ class DrainCoalescingTest : public ::testing::Test {
  protected:
   DrainCoalescingTest() : loop_(&clock_) {}
 
-  Scope* MakeScope(const std::string& name, bool coalesce = true) {
-    scopes_.push_back(std::make_unique<Scope>(
-        &loop_, ScopeOptions{.name = name, .width = 64, .coalesce_display_only = coalesce}));
+  Scope* MakeScope(const std::string& name) {
+    scopes_.push_back(std::make_unique<Scope>(&loop_, ScopeOptions{.name = name, .width = 64}));
     Scope* scope = scopes_.back().get();
     scope->SetPollingMode(10);
     scope->StartPolling();
@@ -299,21 +298,106 @@ TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerSignalPerTick) {
   EXPECT_EQ(scope->counters().samples_coalesced, 49);
 }
 
-TEST_F(DrainCoalescingTest, KillSwitchRestoresPerSampleDrain) {
+TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerTickAcrossBatches) {
+  // docs/protocol.md COALESCE: the freshest value per signal per display
+  // tick, however many batches arrived in between.
   IngestRouter router({.worker_threads = 0});
-  Scope* scope = MakeScope("off", /*coalesce=*/false);
+  Scope* scope = MakeScope("ctap2");
   ASSERT_TRUE(router.AddScope(scope));
+  int tap_calls = 0;
+  double tapped = -1;
+  scope->SetBufferedTap(
+      [&tap_calls, &tapped](std::string_view, int64_t, double v) {
+        ++tap_calls;
+        tapped = v;
+      },
+      TapMode::kCoalesced);
 
-  Round(router, "sig", 30);
-  EXPECT_EQ(scope->counters().samples_coalesced, 0);
-  EXPECT_EQ(scope->counters().samples_retained, 30);
-  EXPECT_EQ(scope->counters().buffered_routed, 30);
-  EXPECT_DOUBLE_EQ(scope->LatestValue(scope->FindSignal("sig")).value_or(-1), 29.0);
+  int64_t now = scope->NowMs();
+  for (int batch = 0; batch < 2; ++batch) {
+    for (int i = 0; i < 10; ++i) {
+      router.Append("sig", now + 1, static_cast<double>(batch * 10 + i));
+    }
+    router.Flush();
+  }
+  clock_.AdvanceMs(5);
+  scope->TickOnce();
+
+  EXPECT_EQ(tap_calls, 1);
+  EXPECT_DOUBLE_EQ(tapped, 19.0);
+  EXPECT_EQ(scope->counters().samples_coalesced, 19);
+  EXPECT_EQ(scope->counters().buffered_routed, 20);
+}
+
+TEST_F(DrainCoalescingTest, StraddlingBatchKeepsPerSignalOrder) {
+  // A batch that straddles the late-drop deadline must not let its on-time
+  // samples overtake older queued samples of the same signal.
+  IngestRouter router({.worker_threads = 0});
+  Scope* scope = MakeScope("straddle");
+  ASSERT_TRUE(router.AddScope(scope));
+  scope->SetDelayMs(50);
+  std::vector<int64_t> s_times;
+  scope->SetBufferedTap([&s_times](std::string_view name, int64_t t, double) {
+    if (name == "s") {
+      s_times.push_back(t);
+    }
+  });
+  clock_.AdvanceMs(100);
+  ASSERT_EQ(scope->NowMs(), 100);
+
+  router.Append("s", 110, 1.0);
+  EXPECT_EQ(router.Flush().dropped_late, 0);
+  router.Append("t", 40, 2.0);  // 40 + 50 < 100: late
+  router.Append("s", 120, 3.0);
+  EXPECT_EQ(router.Flush().dropped_late, 1);
+  clock_.AdvanceMs(80);
+  scope->TickOnce();
+
+  ASSERT_EQ(s_times.size(), 2u);
+  EXPECT_EQ(s_times[0], 110);
+  EXPECT_EQ(s_times[1], 120);
+  EXPECT_EQ(scope->LatestBufferedTime(scope->FindSignal("s")).value_or(-1), 120);
+}
+
+TEST_F(DrainCoalescingTest, ModeChangeWithinOneTickEndsOnNewestSample) {
+  // The signal's route is folded in the first span and walked in the second
+  // (a trigger attached between the two flushes): the folded winner settles
+  // before the walked samples, so the hold ends on the newest sample.
+  IngestRouter router({.worker_threads = 0});
+  Scope* scope = MakeScope("flip_mid_tick");
+  ASSERT_TRUE(router.AddScope(scope));
+  std::vector<double> taps;
+  scope->SetBufferedTap([&taps](std::string_view, int64_t, double v) { taps.push_back(v); },
+                        TapMode::kCoalesced);
+  int64_t now = scope->NowMs();
+  for (int i = 0; i < 10; ++i) {
+    router.Append("sig", now + 1, static_cast<double>(i));
+  }
+  router.Flush();
+  Trigger trigger;
+  ASSERT_NE(scope->AttachTrigger(scope->FindSignal("sig"), &trigger), 0u);
+  for (int i = 10; i < 20; ++i) {
+    router.Append("sig", now + 1, static_cast<double>(i));
+  }
+  router.Flush();
+  clock_.AdvanceMs(5);
+  scope->TickOnce();
+
+  SignalId id = scope->FindSignal("sig");
+  EXPECT_DOUBLE_EQ(scope->LatestValue(id).value_or(-1), 19.0);
+  EXPECT_EQ(scope->counters().buffered_routed, 20);
+  EXPECT_EQ(scope->counters().samples_coalesced, 9);
+  EXPECT_EQ(scope->counters().samples_retained, 10);
+  // The tap sees the first span's winner, then the walked samples in order.
+  ASSERT_EQ(taps.size(), 11u);
+  EXPECT_DOUBLE_EQ(taps.front(), 9.0);
+  EXPECT_DOUBLE_EQ(taps[1], 10.0);
+  EXPECT_DOUBLE_EQ(taps.back(), 19.0);
 }
 
 TEST_F(DrainCoalescingTest, RingPathCoalescesDirectPushes) {
-  // The SampleBuffer ring path (PushBuffered, name shims, straddling spans)
-  // applies the same last-wins fold through the scope's dense table.
+  // Direct pushes (PushBuffered, the router's name shim) wait in the same
+  // queue as router spans and feed the same per-tick last-wins fold.
   Scope* scope = MakeScope("ring");
   SignalId id = scope->AddSignal({.name = "direct", .source = BufferSource{}});
   ASSERT_NE(id, 0);
@@ -328,7 +412,7 @@ TEST_F(DrainCoalescingTest, RingPathCoalescesDirectPushes) {
   EXPECT_EQ(scope->counters().buffered_routed, 40);
   EXPECT_EQ(scope->counters().samples_coalesced, 39);
 
-  // With a sink attached the ring path walks per sample again.
+  // With a sink attached direct pushes walk per sample again.
   std::vector<double> seen;
   ASSERT_NE(scope->AttachSampleSink(id, [&seen](int64_t, double v) { seen.push_back(v); }),
             0u);
@@ -340,7 +424,7 @@ TEST_F(DrainCoalescingTest, RingPathCoalescesDirectPushes) {
   scope->TickOnce();
   EXPECT_EQ(seen.size(), 10u);
   EXPECT_EQ(scope->counters().samples_coalesced, 39);  // unchanged
-  EXPECT_EQ(scope->counters().samples_retained, 10);   // ring path counts too
+  EXPECT_EQ(scope->counters().samples_retained, 10);   // direct pushes count too
 }
 
 TEST_F(DrainCoalescingTest, RemovingSignalDropsItsSinks) {

@@ -1,5 +1,6 @@
-// The zero-allocation batched ingest pipeline: id-keyed SampleBuffer fast
-// path, batch drain, Scope name interning, and id/name-shim equivalence.
+// The zero-allocation ingest pipeline: the Scope id fast path and batch
+// push, Scope name interning, id/name-shim equivalence, and the router's
+// steady-state fan-out.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "core/ingest_router.h"
-#include "core/sample_buffer.h"
 #include "core/scope.h"
 #include "net/frame_codec.h"
 #include "runtime/clock.h"
@@ -37,171 +37,6 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace gscope {
 namespace {
-
-// ---- SampleBuffer id fast path ---------------------------------------------
-
-TEST(IngestFastPathTest, IdPushAndBatchDrainSortedByTime) {
-  SampleBuffer buffer;  // default capacity -> sharded
-  EXPECT_TRUE(buffer.Push(SampleKey{1}, 30, 3.0, 0, 1000));
-  EXPECT_TRUE(buffer.Push(SampleKey{2}, 10, 1.0, 0, 1000));
-  EXPECT_TRUE(buffer.Push(SampleKey{3}, 20, 2.0, 0, 1000));
-  std::vector<Sample> out;
-  EXPECT_EQ(buffer.DrainDisplayableInto(2000, 1000, &out), 3u);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].time_ms, 10);
-  EXPECT_EQ(out[1].time_ms, 20);
-  EXPECT_EQ(out[2].time_ms, 30);
-  EXPECT_EQ(out[0].key, SampleKey{2});
-}
-
-TEST(IngestFastPathTest, EqualTimestampsDrainInPushOrder) {
-  SampleBuffer buffer;
-  // Same timestamp, different keys (hence different shards): arrival order
-  // must be preserved via the seq tie-break.
-  for (uint64_t k = 1; k <= 6; ++k) {
-    buffer.Push(SampleKey{k}, 100, static_cast<double>(k), 0, 1000);
-  }
-  std::vector<Sample> out;
-  buffer.DrainDisplayableInto(2000, 1000, &out);
-  ASSERT_EQ(out.size(), 6u);
-  for (uint64_t k = 1; k <= 6; ++k) {
-    EXPECT_EQ(out[k - 1].key, SampleKey{k});
-  }
-}
-
-TEST(IngestFastPathTest, IdPathLateDropCounted) {
-  SampleBuffer buffer;
-  EXPECT_FALSE(buffer.Push(SampleKey{1}, 10, 1.0, /*now_ms=*/200, /*delay_ms=*/100));
-  EXPECT_EQ(buffer.stats().dropped_late, 1);
-  EXPECT_EQ(buffer.size(), 0u);
-}
-
-TEST(IngestFastPathTest, OverflowEvictsOldestUnderBatchDrain) {
-  SampleBuffer buffer(/*max_samples=*/3);  // small -> single shard
-  for (int i = 0; i < 5; ++i) {
-    buffer.Push(SampleKey{1}, i * 10, static_cast<double>(i), 0, 10000);
-  }
-  EXPECT_EQ(buffer.size(), 3u);
-  EXPECT_EQ(buffer.stats().dropped_overflow, 2);
-  std::vector<Sample> out;
-  EXPECT_EQ(buffer.DrainDisplayableInto(100000, 10000, &out), 3u);
-  EXPECT_DOUBLE_EQ(out[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(out[2].value, 4.0);
-  EXPECT_EQ(buffer.stats().drained, 3);
-}
-
-TEST(IngestFastPathTest, PartialDrainRetainsFutureSamples) {
-  SampleBuffer buffer;
-  buffer.Push(SampleKey{1}, 10, 1.0, 0, 50);
-  buffer.Push(SampleKey{1}, 100, 2.0, 0, 50);
-  std::vector<Sample> out;
-  EXPECT_EQ(buffer.DrainDisplayableInto(/*now_ms=*/60, /*delay_ms=*/50, &out), 1u);
-  EXPECT_DOUBLE_EQ(out[0].value, 1.0);
-  EXPECT_EQ(buffer.size(), 1u);
-  out.clear();
-  EXPECT_EQ(buffer.DrainDisplayableInto(150, 50, &out), 1u);
-  EXPECT_DOUBLE_EQ(out[0].value, 2.0);
-}
-
-TEST(IngestFastPathTest, OutOfOrderPushesDrainSorted) {
-  SampleBuffer buffer;
-  // Deliberately unsorted times on one key (same shard) to force the sort
-  // fallback path.
-  const int64_t times[] = {50, 10, 40, 20, 30};
-  for (int64_t t : times) {
-    buffer.Push(SampleKey{7}, t, static_cast<double>(t), 0, 1000);
-  }
-  std::vector<Sample> out;
-  buffer.DrainDisplayableInto(2000, 1000, &out);
-  ASSERT_EQ(out.size(), 5u);
-  for (size_t i = 1; i < out.size(); ++i) {
-    EXPECT_LE(out[i - 1].time_ms, out[i].time_ms);
-  }
-}
-
-TEST(IngestFastPathTest, PushBatchAcceptsCountsAndOrders) {
-  SampleBuffer buffer;
-  std::vector<Sample> batch = {
-      {30, 3.0, SampleKey{1}, 0},
-      {10, 1.0, SampleKey{2}, 0},
-      {5, 0.5, SampleKey{3}, 0},  // late: 5 + 100 < 106
-      {20, 2.0, SampleKey{4}, 0},
-  };
-  EXPECT_EQ(buffer.PushBatch(batch.data(), batch.size(), /*now_ms=*/106, /*delay_ms=*/100), 3u);
-  EXPECT_EQ(buffer.stats().dropped_late, 1);
-  EXPECT_EQ(buffer.stats().pushed, 3);
-  std::vector<Sample> out;
-  buffer.DrainDisplayableInto(2000, 100, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].time_ms, 10);
-  EXPECT_EQ(out[1].time_ms, 20);
-  EXPECT_EQ(out[2].time_ms, 30);
-}
-
-TEST(IngestFastPathTest, PushBatchOverflowEvictsOldest) {
-  SampleBuffer buffer(/*max_samples=*/4);
-  std::vector<Sample> batch;
-  for (int i = 0; i < 10; ++i) {
-    batch.push_back({i, static_cast<double>(i), SampleKey{1}, 0});
-  }
-  EXPECT_EQ(buffer.PushBatch(batch.data(), batch.size(), 0, 10000), 10u);
-  EXPECT_EQ(buffer.size(), 4u);
-  EXPECT_EQ(buffer.stats().dropped_overflow, 6);
-  std::vector<Sample> out;
-  buffer.DrainDisplayableInto(100000, 10000, &out);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_DOUBLE_EQ(out.front().value, 6.0);
-}
-
-TEST(IngestFastPathTest, SingleKeyMayUseFullCapacityAcrossShards) {
-  // A sharded buffer (capacity >= 4096) must still honour max_samples for a
-  // single hot key: rings grow on demand rather than splitting the budget.
-  SampleBuffer buffer(/*max_samples=*/8192);
-  ASSERT_GT(buffer.shard_count(), 1u);
-  for (int i = 0; i < 8192; ++i) {
-    buffer.Push(SampleKey{1}, i, 1.0, 0, 1 << 20);
-  }
-  EXPECT_EQ(buffer.size(), 8192u);
-  EXPECT_EQ(buffer.stats().dropped_overflow, 0);
-  buffer.Push(SampleKey{1}, 8192, 1.0, 0, 1 << 20);
-  EXPECT_EQ(buffer.size(), 8192u);
-  EXPECT_EQ(buffer.stats().dropped_overflow, 1);
-}
-
-TEST(IngestFastPathTest, OverflowEvictsGloballyOldestAcrossShards) {
-  SampleBuffer buffer(/*max_samples=*/4096);
-  ASSERT_GT(buffer.shard_count(), 1u);
-  // Key 1 holds the oldest samples; key 2 overflows the buffer.  Evictions
-  // must hit key 1's old samples, not key 2's own shard.
-  for (int i = 0; i < 4000; ++i) {
-    buffer.Push(SampleKey{1}, i, 1.0, 0, 1 << 20);
-  }
-  for (int i = 0; i < 200; ++i) {
-    buffer.Push(SampleKey{2}, 10000 + i, 2.0, 0, 1 << 20);
-  }
-  EXPECT_LE(buffer.size(), 4096u);
-  EXPECT_EQ(buffer.stats().dropped_overflow, 104);
-  std::vector<Sample> out;
-  buffer.DrainDisplayableInto(1 << 21, 1 << 20, &out);
-  ASSERT_FALSE(out.empty());
-  // The first 104 samples (times 0..103, key 1) were evicted.
-  EXPECT_EQ(out.front().time_ms, 104);
-  EXPECT_EQ(out.front().key, SampleKey{1});
-}
-
-TEST(IngestFastPathTest, NameShimAndIdPathShareOneBuffer) {
-  // The Tuple shim interns names above the unnamed key; drained Tuples get
-  // their names back.
-  SampleBuffer buffer;
-  EXPECT_TRUE(buffer.Push(Tuple{10, 1.0, "alpha"}, 0, 1000));
-  EXPECT_TRUE(buffer.Push(Tuple{20, 2.0, "beta"}, 0, 1000));
-  EXPECT_TRUE(buffer.Push(Tuple{30, 3.0, "alpha"}, 0, 1000));
-  auto drained = buffer.DrainDisplayable(2000, 1000);
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0].name, "alpha");
-  EXPECT_EQ(drained[1].name, "beta");
-  EXPECT_EQ(drained[2].name, "alpha");
-}
 
 // ---- Scope id fast path vs name shim ---------------------------------------
 
@@ -271,20 +106,6 @@ TEST_F(ScopeIngestTest, UnknownNameNeverAddedCountsUnmatched) {
   EXPECT_GE(scope_.counters().buffered_unmatched, 1);
 }
 
-TEST_F(ScopeIngestTest, DirectBufferTuplePushRoutesByName) {
-  // Legacy pattern: pushing a named Tuple straight into scope.buffer().
-  // The shim's interned keys must not collide with SignalIds — the sample
-  // has to land on the signal with the matching *name*, not the matching id.
-  SignalId first = scope_.AddSignal({.name = "first", .source = BufferSource{}});
-  SignalId second = scope_.AddSignal({.name = "second", .source = BufferSource{}});
-  ASSERT_EQ(first, 1);  // would collide with a bare interned key
-  scope_.StartPolling();
-  EXPECT_TRUE(scope_.buffer().Push(Tuple{scope_.NowMs(), 9.0, "second"}, scope_.NowMs(), 0));
-  loop_.RunForMs(50);
-  EXPECT_FALSE(scope_.LatestValue(first).has_value() && *scope_.LatestValue(first) == 9.0);
-  EXPECT_DOUBLE_EQ(scope_.LatestValue(second).value_or(-1), 9.0);
-}
-
 TEST_F(ScopeIngestTest, FindOrAddBufferSignalIsIdempotent) {
   SignalId a = scope_.FindOrAddBufferSignal("auto");
   ASSERT_NE(a, 0);
@@ -310,9 +131,9 @@ TEST_F(ScopeIngestTest, PushBufferedBatchRoutesAndCountsLate) {
   scope_.SetDelayMs(0);
   int64_t now = scope_.NowMs();
   std::vector<Sample> batch = {
-      {now, 1.0, static_cast<SampleKey>(id), 0},
-      {now - 1000, 9.0, static_cast<SampleKey>(id), 0},  // late
-      {now, 2.0, static_cast<SampleKey>(id), 0},
+      {now, 1.0, static_cast<SampleKey>(id)},
+      {now - 1000, 9.0, static_cast<SampleKey>(id)},  // late
+      {now, 2.0, static_cast<SampleKey>(id)},
   };
   EXPECT_EQ(scope_.PushBufferedBatch(batch.data(), batch.size()), 2u);
   loop_.RunForMs(50);
@@ -323,7 +144,7 @@ TEST_F(ScopeIngestTest, PushBufferedBatchRoutesAndCountsLate) {
 TEST_F(ScopeIngestTest, SteadyStateIdPathDoesNotAllocate) {
   SignalId id = scope_.AddSignal({.name = "hot", .source = BufferSource{}});
   scope_.StartPolling();
-  // Warm up: grow the drain scratch and ring capacities.
+  // Warm up: grow the drain scratch and the staging block pool.
   for (int round = 0; round < 5; ++round) {
     int64_t now = scope_.NowMs();
     for (int i = 0; i < 256; ++i) {
@@ -434,7 +255,7 @@ TEST_F(ScopeIngestTest, SteadyStateBatchPathDoesNotAllocate) {
   std::vector<Sample> batch(256);
   auto fill = [&batch, id](int64_t now) {
     for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i] = Sample{now, static_cast<double>(i), static_cast<SampleKey>(id), 0};
+      batch[i] = Sample{now, static_cast<double>(i), static_cast<SampleKey>(id)};
     }
   };
   for (int round = 0; round < 5; ++round) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/scope.h"
 #include "runtime/clock.h"
@@ -39,7 +42,7 @@ TEST_F(ScopeBufferedTest, LateDataDropped) {
   loop_.RunForMs(200);
   // Stamped 100ms ago with a 20ms delay: its display time has passed.
   EXPECT_FALSE(scope_.PushBuffered("ev", scope_.NowMs() - 100, 1.0));
-  EXPECT_EQ(scope_.buffer().stats().dropped_late, 1);
+  EXPECT_EQ(scope_.ingest_span_stats().dropped_late, 1);
 }
 
 TEST_F(ScopeBufferedTest, SampleAndHoldBetweenPushes) {
@@ -130,6 +133,151 @@ TEST_F(ScopeBufferedTest, DelayedStreamDisplaysInOrder) {
     EXPECT_LE(values[i - 1], values[i]);
   }
   EXPECT_DOUBLE_EQ(scope_.LatestValue(id).value_or(-1), 19.0);
+}
+
+// ---- the one ingest queue, driven tick by tick on the SimClock ------------
+
+TEST_F(ScopeBufferedTest, DelayGatesDisplayAndAcceptsExactDeadline) {
+  SignalId id = scope_.AddSignal({.name = "ev", .source = BufferSource{}});
+  scope_.SetDelayMs(100);
+  scope_.TickOnce();  // scope time starts at 0
+  clock_.AdvanceMs(200);
+  // time + delay == now: displayable right now, not late.
+  EXPECT_TRUE(scope_.PushBuffered(id, 100, 1.0));
+  EXPECT_TRUE(scope_.PushBuffered(id, 150, 2.0));  // displays at 250
+  scope_.TickOnce();
+  EXPECT_DOUBLE_EQ(scope_.LatestValue(id).value_or(-1), 1.0);
+  // The partial drain kept the future sample queued.
+  EXPECT_EQ(scope_.pending_ingest_samples(), 1u);
+  clock_.AdvanceMs(49);
+  scope_.TickOnce();
+  EXPECT_DOUBLE_EQ(scope_.LatestValue(id).value_or(-1), 1.0);
+  clock_.AdvanceMs(1);
+  scope_.TickOnce();
+  EXPECT_DOUBLE_EQ(scope_.LatestValue(id).value_or(-1), 2.0);
+  EXPECT_EQ(scope_.pending_ingest_samples(), 0u);
+  EXPECT_EQ(scope_.ingest_span_stats().dropped_late, 0);
+}
+
+TEST_F(ScopeBufferedTest, LateIdAndBatchPushesAreCounted) {
+  // Section 4.4: "Data arriving at the server after this delay is not
+  // buffered but dropped immediately."
+  SignalId id = scope_.AddSignal({.name = "ev", .source = BufferSource{}});
+  scope_.SetDelayMs(100);
+  scope_.TickOnce();
+  clock_.AdvanceMs(200);
+  EXPECT_FALSE(scope_.PushBuffered(id, 10, 1.0));
+  std::vector<Sample> batch = {{150, 2.0, static_cast<SampleKey>(id)},
+                               {99, 3.0, static_cast<SampleKey>(id)},  // late
+                               {160, 4.0, static_cast<SampleKey>(id)}};
+  EXPECT_EQ(scope_.PushBufferedBatch(batch.data(), batch.size()), 2u);
+  EXPECT_EQ(scope_.ingest_span_stats().dropped_late, 2);
+  EXPECT_EQ(scope_.pending_ingest_samples(), 2u);
+}
+
+TEST_F(ScopeBufferedTest, ExtremeStampsDoNotOverflowTheLateCheck) {
+  SignalId id = scope_.AddSignal({.name = "ev", .source = BufferSource{}});
+  scope_.SetDelayMs(100);
+  scope_.TickOnce();
+  clock_.AdvanceMs(200);
+  EXPECT_TRUE(scope_.PushBuffered(id, std::numeric_limits<int64_t>::max(), 1.0));
+  EXPECT_FALSE(scope_.PushBuffered(id, std::numeric_limits<int64_t>::min(), 2.0));
+  EXPECT_EQ(scope_.ingest_span_stats().dropped_late, 1);
+  EXPECT_EQ(scope_.pending_ingest_samples(), 1u);
+}
+
+TEST_F(ScopeBufferedTest, EqualStampsRouteInPushOrder) {
+  std::vector<SignalId> ids;
+  for (int k = 0; k < 6; ++k) {
+    ids.push_back(scope_.AddSignal({.name = "s" + std::to_string(k), .source = BufferSource{}}));
+  }
+  std::vector<double> seen;
+  scope_.SetBufferedTap([&seen](std::string_view, int64_t, double v) { seen.push_back(v); });
+  scope_.TickOnce();
+  for (int k = 0; k < 6; ++k) {
+    EXPECT_TRUE(scope_.PushBuffered(ids[static_cast<size_t>(k)], 100, static_cast<double>(k)));
+  }
+  clock_.AdvanceMs(100);
+  scope_.TickOnce();
+  ASSERT_EQ(seen.size(), 6u);
+  for (size_t k = 0; k < seen.size(); ++k) {
+    EXPECT_DOUBLE_EQ(seen[k], static_cast<double>(k));
+  }
+}
+
+TEST_F(ScopeBufferedTest, OutOfOrderPushesRouteInTimeOrder) {
+  SignalId id = scope_.AddSignal({.name = "ev", .source = BufferSource{}});
+  std::vector<int64_t> seen;
+  ASSERT_NE(scope_.AttachSampleSink(id, [&seen](int64_t t, double) { seen.push_back(t); }), 0u);
+  scope_.TickOnce();
+  for (int64_t t : {50, 10, 40, 20, 30}) {
+    EXPECT_TRUE(scope_.PushBuffered(id, t, static_cast<double>(t)));
+  }
+  clock_.AdvanceMs(100);
+  scope_.TickOnce();
+  EXPECT_EQ(seen, (std::vector<int64_t>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(scope_.LatestBufferedTime(id).value_or(-1), 50);
+}
+
+TEST_F(ScopeBufferedTest, ConcurrentProducersLoseNothingAndKeepPerSignalOrder) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::vector<SignalId> ids;
+  std::vector<std::vector<int64_t>> seen(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    ids.push_back(scope_.AddSignal({.name = "p" + std::to_string(t), .source = BufferSource{}}));
+    std::vector<int64_t>* out = &seen[static_cast<size_t>(t)];
+    ASSERT_NE(scope_.AttachSampleSink(ids.back(), [out](int64_t time, double) {
+      out->push_back(time);
+    }), 0u);
+  }
+  scope_.SetDelayMs(1 << 20);
+  scope_.TickOnce();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, id = ids[static_cast<size_t>(t)]]() {
+      for (int i = 0; i < kPerThread; ++i) {
+        scope_.PushBuffered(id, i, 1.0);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(scope_.pending_ingest_samples(), static_cast<size_t>(kThreads * kPerThread));
+  clock_.AdvanceMs(2 << 20);
+  scope_.TickOnce();
+  EXPECT_EQ(scope_.counters().buffered_routed, kThreads * kPerThread);
+  for (const std::vector<int64_t>& times : seen) {
+    ASSERT_EQ(times.size(), static_cast<size_t>(kPerThread));
+    for (size_t i = 0; i < times.size(); ++i) {
+      EXPECT_EQ(times[i], static_cast<int64_t>(i));
+    }
+  }
+}
+
+TEST_F(ScopeBufferedTest, CapacityBoundsQueueAndEvictsOldestFirst) {
+  // One bound per scope: staged direct pushes and queued spans share it.
+  Scope small(&loop_, {.name = "small", .width = 64, .buffer_capacity = 64});
+  SignalId id = small.AddSignal({.name = "ev", .source = BufferSource{}});
+  std::vector<int64_t> seen;
+  ASSERT_NE(small.AttachSampleSink(id, [&seen](int64_t t, double) { seen.push_back(t); }), 0u);
+  small.SetDelayMs(1000);
+  small.TickOnce();
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(small.PushBuffered(id, i, 1.0));
+  }
+  size_t pending = small.pending_ingest_samples();
+  EXPECT_LE(pending, 64u);
+  EXPECT_GT(pending, 0u);
+  EXPECT_EQ(small.ingest_span_stats().dropped_overflow, static_cast<int64_t>(200 - pending));
+  clock_.AdvanceMs(2000);
+  small.TickOnce();
+  // The survivors are the newest samples, in order.
+  ASSERT_EQ(seen.size(), pending);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], static_cast<int64_t>(200 - pending + i));
+  }
 }
 
 }  // namespace
