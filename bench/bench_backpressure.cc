@@ -77,8 +77,6 @@ RunResult Run(const Config& config, int tuples_per_producer) {
   gscope::Scope display(&server_loop, {.name = "display", .width = 64});
   display.SetPollingMode(5);
   gscope::StreamServerOptions sopt;
-  sopt.fanout_shards = 1;
-  sopt.fanout_workers = 0;
   sopt.client_rcvbuf_bytes = 8192;
   gscope::StreamServer server(&server_loop, &display, sopt);
   if (!server.Listen(0)) {

@@ -41,11 +41,11 @@ struct DrainRunResult {
 
 // One config: `scopes` display targets, kSignals live signals, `batch`
 // samples per signal per tick, driven for `ticks` deterministic SimClock
-// ticks through one inline-fan-out router (drain cost is what varies).
+// ticks through one router (drain cost is what varies).
 DrainRunResult RunDrain(int num_scopes, int batch, int ticks, bool history) {
   gscope::SimClock clock;
   gscope::MainLoop loop(&clock);
-  gscope::IngestRouter router({.fanout_shards = 1, .worker_threads = 0});
+  gscope::IngestRouter router;
 
   std::vector<std::unique_ptr<gscope::Scope>> scopes;
   for (int i = 0; i < num_scopes; ++i) {

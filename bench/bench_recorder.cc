@@ -119,7 +119,7 @@ struct CaptureRunResult {
 CaptureRunResult RunCapture(int num_scopes, int batch, int ticks, bool record) {
   gscope::SimClock clock;
   gscope::MainLoop loop(&clock);
-  gscope::IngestRouter router({.fanout_shards = 1, .worker_threads = 0});
+  gscope::IngestRouter router;
 
   std::vector<std::unique_ptr<gscope::Scope>> scopes;
   for (int i = 0; i < num_scopes; ++i) {

@@ -2,8 +2,8 @@
 # Tier-1 verify, the end-to-end benchmark's self-test, Release-mode bench
 # smokes, an ASan+UBSan pass over the net/control tests with a
 # control-channel smoke (subscribe, push, assert echoed tuples), and a TSan
-# pass over the sharded fan-out, so the ingest fast paths and the new
-# bidirectional control path cannot silently rot.
+# pass over the pushes that reach a scope from other threads, so the ingest
+# fast paths and the bidirectional control path cannot silently rot.
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
@@ -109,14 +109,16 @@ echo "--- control-channel smoke (ASan+UBSan): subscribe, push, assert echo ---"
 # disjoint delayed echo streams with zero parse errors.
 "$asan_dir/example_remote_control"
 
-echo "--- TSan: sharded fan-out race check ---"
+echo "--- TSan: cross-thread direct pushes and cross-loop span pushes racing the drain ---"
 tsan_dir="$repo_root/build-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   > /dev/null
-# Only the new sharded fan-out tests run under TSan: test_threading's own
-# harness reads scope state cross-thread by design (the paper's sampled-
-# variable model) and is expected to trip the sanitizer.
+# A producer thread's direct pushes, and span pushes from a router flushed
+# on another loop (the loops > 1 server), race each scope's drain here.
+# test_threading stays out: its own harness reads scope state cross-thread
+# by design (the paper's sampled-variable model) and is expected to trip
+# the sanitizer.
 cmake --build "$tsan_dir" -j --target test_ingest_router test_ingest_fast_path \
   test_drain_coalescing test_stress_multiproducer test_reliability \
   test_loop_sharding test_tenant_isolation test_control_channel

@@ -274,7 +274,7 @@ struct IngestSpan {
 // With one FIFO and time-sorted blocks, per-signal order holds by
 // construction.  One capacity bounds everything queued or staged; the
 // oldest spans are evicted first.  Push/Stage are thread-safe (producer
-// threads, the router's fan-out workers); Collect runs on the scope's loop
+// threads, router flushes on other loops); Collect runs on the scope's loop
 // thread.  Steady-state cycles allocate nothing once the vectors and the
 // block pool have warmed up.
 class IngestSpanQueue {

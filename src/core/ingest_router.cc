@@ -1,35 +1,16 @@
 #include "core/ingest_router.h"
 
-#include <thread>
+#include <algorithm>
 
 #include "core/scope.h"
 #include "core/tuple.h"
 
 namespace gscope {
-namespace {
-
-size_t PickWorkers(const IngestRouterOptions& options) {
-  if (options.worker_threads >= 0) {
-    return static_cast<size_t>(options.worker_threads);
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  size_t by_host = hw > 1 ? static_cast<size_t>(hw - 1) : 0;
-  size_t by_shards = options.fanout_shards > 1 ? options.fanout_shards - 1 : 0;
-  return std::min(by_host, by_shards);
-}
-
-}  // namespace
 
 IngestRouter::IngestRouter(IngestRouterOptions options)
     : options_(options),
       table_(std::make_shared<RouteTable>()),
-      block_pool_(options.block_pool),
-      pool_(PickWorkers(options)) {
-  if (options_.fanout_shards == 0) {
-    options_.fanout_shards = 1;
-  }
-  fanout_job_ = [this](size_t shard) { FanoutShard(shard); };
-}
+      block_pool_(options.block_pool) {}
 
 IngestRouter::~IngestRouter() = default;
 
@@ -358,19 +339,6 @@ void IngestRouter::AppendTupleLine(std::string_view line, std::string_view ns,
   AppendLocked(ns_scratch_, tuple->time_ms, tuple->value);
 }
 
-void IngestRouter::FanoutShard(size_t shard) {
-  const size_t n = flush_block_->samples.size();
-  int64_t dropped = 0;
-  for (size_t i = shard; i < scopes_.size(); i += flush_shards_) {
-    IngestSpan span{flush_block_, flush_table_, 0, static_cast<uint32_t>(n),
-                    static_cast<uint32_t>(i),
-                    !flush_table_->SlotFiltered(static_cast<uint32_t>(i))};
-    size_t accepted = scopes_[i]->PushIngestSpan(span, flush_now_ms_[i]);
-    dropped += static_cast<int64_t>(n - accepted);
-  }
-  shard_dropped_late_[shard] = dropped;
-}
-
 IngestRouter::FlushStats IngestRouter::Flush() {
   std::unique_lock<std::mutex> lock = LockRoutes();
   FlushStats out;
@@ -410,22 +378,17 @@ IngestRouter::FlushStats IngestRouter::Flush() {
   // Once per block, not per scope: time order lets every scope cut its late
   // prefix at push and its displayable prefix at drain.
   block_->SortByTime();
-  flush_block_ = std::move(block_);
-  flush_table_ = table_;
-  flush_shards_ = pool_.worker_count() > 0
-                      ? std::min(options_.fanout_shards, scopes_.size())
-                      : 1;
-  shard_dropped_late_.assign(flush_shards_, 0);
+  const std::shared_ptr<const IngestBlock> block = std::move(block_);
+  const uint32_t n = static_cast<uint32_t>(block->samples.size());
   flush_now_ms_.resize(scopes_.size());
   for (size_t i = 0; i < scopes_.size(); ++i) {
     flush_now_ms_[i] = scopes_[i]->NowMs();
   }
-  pool_.Run(flush_shards_, fanout_job_);
-  for (int64_t dropped : shard_dropped_late_) {
-    out.dropped_late += dropped;
+  for (uint32_t i = 0; i < scopes_.size(); ++i) {
+    IngestSpan span{block, table_, 0, n, i, !table_->SlotFiltered(i)};
+    size_t accepted = scopes_[i]->PushIngestSpan(span, flush_now_ms_[i]);
+    out.dropped_late += static_cast<int64_t>(n - accepted);
   }
-  flush_block_.reset();
-  flush_table_.reset();
   return out;
 }
 

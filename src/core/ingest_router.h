@@ -1,4 +1,4 @@
-// IngestRouter: epoch-invalidated routing table + sharded span fan-out.
+// IngestRouter: epoch-invalidated routing table + span fan-out.
 //
 // Owned by an ingest front-end (the TCP stream server, the UDP datagram
 // server), this is the single place where tuple names meet scope signal
@@ -9,16 +9,18 @@
 //   Append("cwnd", t, v)   O(1): memoized/interned name -> route index,
 //                          sample appended once to the shared block
 //   Flush()                O(scopes): each scope gets one IngestSpan,
-//                          partitioned into K shards run on a FanoutPool
+//                          handed off in one loop on the calling thread
 //
 // Invalidation: RouteEpoch() = local scope-list epoch + the sum of every
 // scope's signals_epoch().  When it moves, the immutable RouteTable snapshot
 // is rebuilt lazily at the next batch; queued spans keep their old snapshot
 // (stale ids resolve to unmatched at drain, never to a wrong signal).
 //
-// Threading: Append/Flush/AddScope/RemoveScope run on the loop thread.  The
-// fan-out shards call Scope::PushIngestSpan, which is thread-safe; the
-// scopes' drains stay on the loop thread (the paper's GTK-lock discipline).
+// Threading: Append/Flush/AddScope/RemoveScope run on the loop thread, and
+// ingest never waits on another thread.  Scope::PushIngestSpan stays
+// thread-safe: in concurrent mode (below) one loop's Flush pushes spans into
+// scopes that drain on other loops.  Each scope's drain stays on its own
+// loop thread (the paper's GTK-lock discipline).
 //
 // Concurrent mode (SetConcurrent): with the net layer sharding sessions
 // across per-core loops, any shard may ingest, resolve, flush, or register
@@ -42,7 +44,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fanout_pool.h"
 #include "core/ingest_bus.h"
 #include "core/signal_filter.h"
 #include "core/string_index.h"
@@ -55,12 +56,9 @@ struct IngestRouterOptions {
   // Create a BUFFER signal on every scope the first time a new tuple name
   // appears (remote signals are not known in advance).
   bool auto_create_signals = true;
-  // Upper bound on parallel fan-out shards per flush (each shard serves a
-  // strided subset of the scopes).
+  // Ignored: Flush hands every span off on the calling thread.  Both fields
+  // stay so that existing callers, which set them, keep compiling.
   size_t fanout_shards = 4;
-  // Worker threads for the fan-out pool.  -1 picks hardware_concurrency()-1
-  // capped at fanout_shards-1 (0 on a single-core host: inline fan-out beats
-  // cross-thread wake-ups there); 0 forces inline.
   int worker_threads = -1;
   // Parsed blocks kept for reuse; beyond this, in-flight batches allocate.
   size_t block_pool = 32;
@@ -161,10 +159,10 @@ class IngestRouter {
     // Samples rejected as late across all scopes (span-level and shim-level).
     int64_t dropped_late = 0;
   };
-  // Hands the accumulated batch to every scope as a span, sharded across the
-  // fan-out pool, and starts a fresh batch.  A batch whose stamps ran
-  // backwards is stable-sorted by time first, once for all scopes.  Blocks
-  // until all shards finish.
+  // Hands the accumulated batch to every scope as a span, one scope after
+  // another on the calling thread, and starts a fresh batch.  A batch whose
+  // stamps ran backwards is stable-sorted by time first, once for all
+  // scopes.
   FlushStats Flush();
 
   // Diagnostics / tests (locked like the entry points, so STATS handlers on
@@ -181,7 +179,6 @@ class IngestRouter {
     std::unique_lock<std::mutex> lock = LockRoutes();
     return block_ ? block_->samples.size() : 0;
   }
-  size_t fanout_worker_count() const { return pool_.worker_count(); }
   // Route x scope-slot entries the current staged table excludes because the
   // slot's subscription filter does not match the route's name.  This is the
   // observable proof that filtering happened at route-build time: samples of
@@ -208,7 +205,6 @@ class IngestRouter {
   void ReResolveRoute(uint32_t route);  // auto-create missing slots for one route
   void ShimPushUnresolved(uint32_t route, int64_t time_ms, double value);
   void ShimPushAll(std::string_view name, int64_t time_ms, double value);
-  void FanoutShard(size_t shard);
 
   IngestRouterOptions options_;
 
@@ -219,8 +215,7 @@ class IngestRouter {
 
   std::vector<Scope*> scopes_;
   // Parallel to scopes_: the slot's subscription filter, null = receive all.
-  // Read on the loop thread during table builds; the fan-out shards only
-  // null-test it (no pattern evaluation off the loop thread).
+  // Read during table builds; Flush only null-tests it.
   std::vector<const SignalFilter*> filters_;
   std::unordered_map<Scope*, size_t> scope_index_;
   // Bumped on scope add/remove; removal also folds in the removed scope's
@@ -267,16 +262,9 @@ class IngestRouter {
   std::shared_ptr<IngestBlock> block_;  // active batch; null between batches
   int64_t shim_dropped_late_ = 0;
 
-  // Flush state, held in members so the reusable fan-out job closure stays
-  // allocation-free across flushes.
-  FanoutPool pool_;
-  std::function<void(size_t)> fanout_job_;
-  std::shared_ptr<const IngestBlock> flush_block_;
-  std::shared_ptr<const RouteTable> flush_table_;
-  size_t flush_shards_ = 0;
-  std::vector<int64_t> shard_dropped_late_;
-  // Per-scope "now", captured on the loop thread at flush: the late-drop
-  // verdict must not depend on fan-out worker scheduling latency.
+  // Per-scope "now", read for every scope before the first span is pushed:
+  // the late-drop verdict takes one instant, not the time the pushes into
+  // earlier scopes took.  A member, so flushes stay allocation-free.
   std::vector<int64_t> flush_now_ms_;
   std::vector<SignalId> resolve_scratch_;
   std::vector<uint8_t> resolve_history_scratch_;

@@ -215,10 +215,11 @@ class Scope {
   // time-sorted (IngestRouter::Flush sorts it), so the samples that already
   // missed the display deadline form a prefix: it is counted late and the
   // rest of the span is queued.  Returns the number of samples not rejected
-  // as late.  Thread-safe (the router's fan-out workers call this).
-  // `now_ms` is the scope time the late-drop verdict is judged against; the
-  // router captures it on the loop thread at flush so worker scheduling
-  // latency cannot turn an on-time batch late.
+  // as late.  Thread-safe (with loops > 1 a router flush on another loop
+  // calls this).  `now_ms` is the scope time the late-drop verdict is
+  // judged against; the router reads it for every scope before its first
+  // push, so the pushes into earlier scopes cannot turn an on-time batch
+  // late.
   size_t PushIngestSpan(const IngestSpan& span, int64_t now_ms);
   size_t PushIngestSpan(const IngestSpan& span) { return PushIngestSpan(span, NowMs()); }
   IngestSpanQueue::Stats ingest_span_stats() const { return ingest_spans_.stats(); }

@@ -18,7 +18,6 @@
 #include "core/filter.h"
 #include "core/params.h"
 #include "core/envelope.h"
-#include "core/fanout_pool.h"
 #include "core/ingest_bus.h"
 #include "core/ingest_router.h"
 #include "core/sample_hold.h"

@@ -48,6 +48,10 @@ class BackgroundSpinner {
 
   bool running() const { return thread_.joinable(); }
 
+  // Iterations the running thread has counted so far, published once per
+  // batch of spins: 0 until the thread has had some CPU.
+  int64_t iterations() const { return iterations_.load(std::memory_order_relaxed); }
+
  private:
   std::thread thread_;
   std::atomic<bool> stop_{false};

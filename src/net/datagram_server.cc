@@ -7,9 +7,7 @@ namespace gscope {
 DatagramServer::DatagramServer(MainLoop* loop, Scope* scope, DatagramServerOptions options)
     : loop_(loop),
       options_(options),
-      router_({.auto_create_signals = options.auto_create_signals,
-               .fanout_shards = options.fanout_shards,
-               .worker_threads = options.fanout_workers}),
+      router_({.auto_create_signals = options.auto_create_signals}),
       pool_(loop, options.loops) {
   if (options_.max_datagram_bytes == 0) {
     options_.max_datagram_bytes = 65536;

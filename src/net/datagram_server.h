@@ -12,9 +12,9 @@
 // there is no cross-datagram line reassembly, so a trailing line without a
 // terminating newline is still parsed (and counted as a short datagram).
 //
-// Routing and fan-out reuse the same sharded IngestRouter as the stream
-// server: each readable burst of datagrams is parsed once into a shared
-// block and every display scope receives an O(1) span.
+// Routing and fan-out reuse the same IngestRouter as the stream server:
+// each readable burst of datagrams is parsed once into a shared block and
+// every display scope receives an O(1) span.
 //
 // Sharded receive (options.loops > 1): one SO_REUSEPORT socket per per-core
 // loop (runtime/loop_pool.h); the kernel spreads datagrams by source
@@ -51,7 +51,8 @@ struct DatagramServerOptions {
   // owning loop: a flooding producer must not starve scope ticks (the kernel
   // sheds the excess, which is the UDP contract).
   size_t max_datagrams_per_wakeup = 1024;
-  // Fan-out sharding (see IngestRouterOptions).
+  // Ignored: ingest fan-out runs on the loop thread that read the datagram.
+  // Kept so that existing callers, which set them, keep compiling.
   size_t fanout_shards = 4;
   int fanout_workers = -1;
   // Receive sharding: per-core loops each owning a SO_REUSEPORT socket

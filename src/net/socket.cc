@@ -189,6 +189,10 @@ Socket Socket::Accept() {
     close(fd);
     return Socket{};
   }
+  // As on Connect: echo and replies are small writes that must leave at the
+  // tick that produced them, not wait on Nagle for the peer's delayed ACK.
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return Socket{fd};
 }
 

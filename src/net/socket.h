@@ -56,7 +56,8 @@ class Socket {
 
   // Starts a non-blocking connect to 127.0.0.1:`port`.  The connection may
   // still be in progress when this returns; wait for writability, then call
-  // PendingError() to learn whether the connect succeeded.
+  // PendingError() to learn whether the connect succeeded.  Nagle is off
+  // (TCP_NODELAY) on both ends of every connection: Connect and Accept set it.
   static Socket Connect(uint16_t port);
 
   // Marks the socket SO_REUSEPORT (before bind).  False when the option is
@@ -78,7 +79,8 @@ class Socket {
   // invalid socket.
   int PendingError() const;
 
-  // Accepts one pending connection (non-blocking).  Invalid if none pending.
+  // Accepts one pending connection (non-blocking, TCP_NODELAY set).  Invalid
+  // if none pending.
   Socket Accept();
 
   IoResult Read(void* buf, size_t len);

@@ -76,9 +76,7 @@ struct StreamServer::FrameHandler {
 StreamServer::StreamServer(MainLoop* loop, Scope* scope, StreamServerOptions options)
     : loop_(loop),
       options_(options),
-      router_({.auto_create_signals = options.auto_create_signals,
-               .fanout_shards = options.fanout_shards,
-               .worker_threads = options.fanout_workers}),
+      router_({.auto_create_signals = options.auto_create_signals}),
       pool_(loop, options.loops) {
   if (options_.control_poll_period_ms <= 0) {
     options_.control_poll_period_ms = 10;

@@ -10,10 +10,10 @@
 //
 // I/O driven: a listen watch accepts clients, per-client watches parse
 // newline-delimited lines and push tuples into the display scopes' sample
-// buffers (which apply the delay/late-drop policy).  With the default
-// fanout_workers = -1 the router may spawn up to fanout_shards-1 persistent
-// fan-out worker threads on a multi-core host (none on a single core) — set
-// fanout_workers = 0 for a strictly single-threaded server.
+// buffers (which apply the delay/late-drop policy).  The router hands each
+// flush to every scope on the loop thread that read it, so a loops = 1
+// server without RECORD runs no thread of its own.  Every accepted
+// connection has Nagle off, so echo and replies leave at the session tick.
 //
 // Sharded accept (options.loops > 1): accepted connections spread across N
 // per-core event loops (runtime/loop_pool.h).  Each loop owns its clients
@@ -26,10 +26,11 @@
 // connection to the least-loaded loop.  Shared state crosses loops at
 // exactly two points, both serialized inside the router when loops > 1:
 // the IngestRouter's route tables (epoch-snapshot rebuilds under its lock)
-// and the scopes' span queues (already thread-safe for the fan-out
-// workers).  Server-wide Stats are relaxed per-field atomics
-// (runtime/relaxed_counter.h).  loops = 1 (the default) takes none of the
-// locks and spawns no threads: byte-identical to the pre-sharding server.
+// and the scopes' span queues (thread-safe: one loop's flush pushes spans
+// into sessions on other loops).  Server-wide Stats are relaxed per-field
+// atomics (runtime/relaxed_counter.h).  loops = 1 (the default) takes none
+// of the locks and spawns no threads: byte-identical to the pre-sharding
+// server.
 //
 // Control channel: a client line starting with a letter is a control verb
 // (AUTH / SUB / UNSUB / DELAY / LIST / STATS / PING / TIME).  The first
@@ -106,8 +107,8 @@ struct StreamServerOptions {
   // framing resynchronizes at the next newline.  A line of exactly this many
   // bytes (newline excluded) parses, however it is split across reads.
   size_t max_line_bytes = 4096;
-  // Fan-out sharding (see IngestRouterOptions): shards per flush and worker
-  // threads (-1 = auto: 0 on a single-core host).
+  // Ignored: ingest fan-out runs on the loop thread that read the tuples.
+  // Kept so that existing callers, which set them, keep compiling.
   size_t fanout_shards = 4;
   int fanout_workers = -1;
   // Accept sharding: per-core event loops owning the accepted connections

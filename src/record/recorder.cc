@@ -36,8 +36,8 @@ bool Recorder::Start(const std::string& path) {
   sopts.height = 32;
   sopts.buffer_capacity = options_.buffer_capacity;
   scope_ = std::make_unique<Scope>(loop_, sopts);
-  // Router fan-out workers and route-table builds touch this scope from
-  // other threads while the recorder loop ticks it.
+  // Router flushes and route-table builds on the serving loops touch this
+  // scope from other threads while the recorder loop ticks it.
   scope_->SetConcurrent(true);
   scope_->SetBufferedTap(
       [this](std::string_view name, int64_t time_ms, double value) {

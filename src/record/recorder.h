@@ -11,7 +11,7 @@
 //
 // Threading: by default Start() spawns a thread running the recorder's own
 // MainLoop, so extent assembly, pwrite and fsync all happen off the serving
-// loops (the router's fan-out workers only enqueue spans, which is
+// loops (the serving loops' router flushes only enqueue spans, which is
 // thread-safe).  Tests pass RecorderOptions::loop to drive the scope
 // deterministically on an existing loop instead (no thread).
 //

@@ -445,8 +445,6 @@ Result RunStress(const Options& opt) {
   display.SetConcurrent(opt.server_loops > 1);
   StreamServerOptions sopt;
   sopt.max_clients = 128;
-  sopt.fanout_shards = 1;
-  sopt.fanout_workers = 0;  // no fan-out workers: fork-safe at one loop
   sopt.loops = opt.server_loops;
   sopt.client_rcvbuf_bytes = opt.server_rcvbuf_bytes;
   StreamServer server(&server_loop, &display, sopt);

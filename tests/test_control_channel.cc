@@ -1240,6 +1240,9 @@ TEST_F(ControlChannelTest, RecordReplayRoundTripOverWire) {
   ASSERT_TRUE(viewer.Connect(server.port()));
   ASSERT_TRUE(RunUntil([&]() { return viewer.connected(); }));
   viewer.Subscribe("fr_*");
+  // The burst below is sent once, stamped NowMs(): at DELAY 0 an ingest
+  // that crosses a millisecond boundary late-drops all of it for good.
+  viewer.SetDelay(200);
   ASSERT_TRUE(viewer.Record(path));
   ASSERT_TRUE(RunUntil([&]() {
     for (const std::string& reply : sink.replies) {

@@ -56,7 +56,7 @@ class DrainCoalescingTest : public ::testing::Test {
 };
 
 TEST_F(DrainCoalescingTest, DisplayOnlySignalCoalescesToLastValuePerTick) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("disp");
   ASSERT_TRUE(router.AddScope(scope));
 
@@ -80,7 +80,7 @@ TEST_F(DrainCoalescingTest, DisplayOnlySignalCoalescesToLastValuePerTick) {
 }
 
 TEST_F(DrainCoalescingTest, CoalescingPicksNewestStampInUnorderedSpan) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("unordered");
   ASSERT_TRUE(router.AddScope(scope));
 
@@ -102,7 +102,7 @@ TEST_F(DrainCoalescingTest, CoalescingPicksNewestStampInUnorderedSpan) {
 }
 
 TEST_F(DrainCoalescingTest, TriggerAttachedObservesEverySample) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("trig");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId id = scope->FindOrAddBufferSignal("wave");
@@ -129,7 +129,7 @@ TEST_F(DrainCoalescingTest, TriggerAttachedObservesEverySample) {
 }
 
 TEST_F(DrainCoalescingTest, AggregateTraceEnvelopeExportLoseNoSamples) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("sinks");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId id = scope->FindOrAddBufferSignal("metric");
@@ -184,7 +184,7 @@ TEST_F(DrainCoalescingTest, AggregateTraceEnvelopeExportLoseNoSamples) {
 }
 
 TEST_F(DrainCoalescingTest, MixedSpanCoalescesOnlyDisplayOnlyRoutes) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("mixed");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId hist = scope->FindOrAddBufferSignal("hist");
@@ -215,7 +215,7 @@ TEST_F(DrainCoalescingTest, MixedSpanCoalescesOnlyDisplayOnlyRoutes) {
 }
 
 TEST_F(DrainCoalescingTest, HistorySinkObservesUnorderedSpanInTimeOrder) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("sorted");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId id = scope->FindOrAddBufferSignal("sig");
@@ -240,7 +240,7 @@ TEST_F(DrainCoalescingTest, HistorySinkObservesUnorderedSpanInTimeOrder) {
 }
 
 TEST_F(DrainCoalescingTest, AttachDetachFlipsModeAtNextRouteEpoch) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("flip");
   ASSERT_TRUE(router.AddScope(scope));
 
@@ -269,7 +269,7 @@ TEST_F(DrainCoalescingTest, AttachDetachFlipsModeAtNextRouteEpoch) {
 }
 
 TEST_F(DrainCoalescingTest, EverySampleTapKeepsWholeScopeOnHistoryPath) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("tap");
   ASSERT_TRUE(router.AddScope(scope));
   int tap_calls = 0;
@@ -283,7 +283,7 @@ TEST_F(DrainCoalescingTest, EverySampleTapKeepsWholeScopeOnHistoryPath) {
 }
 
 TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerSignalPerTick) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("ctap");
   ASSERT_TRUE(router.AddScope(scope));
   std::vector<std::pair<std::string, double>> taps;
@@ -301,7 +301,7 @@ TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerSignalPerTick) {
 TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerTickAcrossBatches) {
   // docs/protocol.md COALESCE: the freshest value per signal per display
   // tick, however many batches arrived in between.
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("ctap2");
   ASSERT_TRUE(router.AddScope(scope));
   int tap_calls = 0;
@@ -332,7 +332,7 @@ TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerTickAcrossBatches) {
 TEST_F(DrainCoalescingTest, StraddlingBatchKeepsPerSignalOrder) {
   // A batch that straddles the late-drop deadline must not let its on-time
   // samples overtake older queued samples of the same signal.
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("straddle");
   ASSERT_TRUE(router.AddScope(scope));
   scope->SetDelayMs(50);
@@ -363,7 +363,7 @@ TEST_F(DrainCoalescingTest, ModeChangeWithinOneTickEndsOnNewestSample) {
   // The signal's route is folded in the first span and walked in the second
   // (a trigger attached between the two flushes): the folded winner settles
   // before the walked samples, so the hold ends on the newest sample.
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("flip_mid_tick");
   ASSERT_TRUE(router.AddScope(scope));
   std::vector<double> taps;
@@ -439,11 +439,11 @@ TEST_F(DrainCoalescingTest, RemovingSignalDropsItsSinks) {
   EXPECT_GT(scope->consumers_epoch(), epoch);
 }
 
-TEST_F(DrainCoalescingTest, ConcurrentFanoutCoalescedAndHistoryScopes) {
-  // TSan target (scripts/check.sh): sharded fan-out workers hand spans to a
-  // mix of display-only and history scopes while a producer thread uses the
-  // direct push path; drains run on the loop thread.
-  IngestRouter router({.fanout_shards = 4, .worker_threads = 2});
+TEST_F(DrainCoalescingTest, CoalescedAndHistoryScopesBesideConcurrentProducer) {
+  // TSan target (scripts/check.sh): the router hands spans to a mix of
+  // display-only and history scopes while a producer thread uses the direct
+  // push path; drains run on the loop thread.
+  IngestRouter router;
   std::vector<Scope*> targets;
   for (int i = 0; i < 4; ++i) {
     targets.push_back(MakeScope("t" + std::to_string(i)));

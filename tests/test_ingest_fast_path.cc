@@ -166,7 +166,7 @@ TEST_F(ScopeIngestTest, SteadyStateIdPathDoesNotAllocate) {
 }
 
 TEST_F(ScopeIngestTest, MultiScopeSteadyStateFanoutDoesNotAllocate) {
-  // The sharded fan-out: one router feeding 4 scopes.  After warm-up (route
+  // The span fan-out: one router feeding 4 scopes.  After warm-up (route
   // table built, block pool and span queues at capacity), a steady stream of
   // append -> flush -> drain cycles must not allocate, regardless of how
   // many scopes subscribe.

@@ -1,14 +1,13 @@
-// The sharded, signal-routed ingest bus: route-table resolution and epoch
+// The signal-routed ingest bus: route-table resolution and epoch
 // invalidation, O(1) span fan-out, dynamic scope/signal topology under load,
-// late/overflow policy on the span path, and the FanoutPool.
+// late/overflow policy on the span path, and pushes from other threads
+// racing the drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "core/fanout_pool.h"
 #include "core/ingest_bus.h"
 #include "core/ingest_router.h"
 #include "core/scope.h"
@@ -314,11 +313,10 @@ TEST_F(IngestRouterTest, EmptyFlushIsANoOpAndBatchesAreIndependent) {
   EXPECT_DOUBLE_EQ(a->LatestValue(a->FindSignal("sig")).value_or(-1), 9.0);
 }
 
-// ---- sharded fan-out under worker threads (the TSan target) ----------------
+// ---- pushes from other threads racing the drain (the TSan target) ---------
 
-TEST_F(IngestRouterTest, ShardedFanoutWithWorkersDeliversEverySample) {
-  IngestRouter router({.fanout_shards = 4, .worker_threads = 3});
-  ASSERT_EQ(router.fanout_worker_count(), 3u);
+TEST_F(IngestRouterTest, FanoutDeliversEverySampleBesideDirectPushes) {
+  IngestRouter router;
   constexpr int kScopes = 8;
   constexpr int kBatches = 50;
   constexpr int kPerBatch = 64;
@@ -329,7 +327,8 @@ TEST_F(IngestRouterTest, ShardedFanoutWithWorkersDeliversEverySample) {
     ASSERT_TRUE(router.AddScope(s));
   }
   // A concurrent producer thread exercises the thread-safe direct push path
-  // against the same scopes while the fan-out workers hand off spans.
+  // against the same scopes while the router hands off spans and the scopes
+  // drain.
   std::atomic<bool> stop{false};
   Scope* contended = targets[0];
   SignalId direct = contended->AddSignal({.name = "direct", .source = BufferSource{}});
@@ -363,8 +362,8 @@ TEST_F(IngestRouterTest, ShardedFanoutWithWorkersDeliversEverySample) {
   }
 }
 
-TEST_F(IngestRouterTest, TopologyChangesUnderShardedLoad) {
-  IngestRouter router({.fanout_shards = 4, .worker_threads = 2});
+TEST_F(IngestRouterTest, TopologyChangesUnderLoad) {
+  IngestRouter router;
   std::vector<Scope*> targets;
   for (int i = 0; i < 6; ++i) {
     targets.push_back(MakeScope("t" + std::to_string(i)));
@@ -398,45 +397,51 @@ TEST_F(IngestRouterTest, TopologyChangesUnderShardedLoad) {
   }
 }
 
-// ---- FanoutPool ------------------------------------------------------------
-
-TEST(FanoutPoolTest, InlineWhenNoWorkers) {
-  FanoutPool pool(0);
-  EXPECT_EQ(pool.worker_count(), 0u);
-  std::vector<int> hits(16, 0);
-  pool.Run(16, [&](size_t i) { hits[i] += 1; });
-  for (int h : hits) {
-    EXPECT_EQ(h, 1);
+TEST_F(IngestRouterTest, CrossLoopSpanPushesRaceTheDrain) {
+  // With loops > 1 the router is shared: one loop's Flush pushes spans into
+  // scopes that tick on another loop.  A second thread plays the ingesting
+  // loop; this thread ticks.  The clock stands still, so every sample is on
+  // time and displayable as soon as it is queued.
+  IngestRouter router;
+  router.SetConcurrent(true);
+  std::vector<Scope*> targets;
+  for (int i = 0; i < 4; ++i) {
+    Scope* s = MakeScope("x" + std::to_string(i));
+    s->SetConcurrent(true);
+    targets.push_back(s);
+    ASSERT_TRUE(router.AddScope(s));
   }
-}
-
-TEST(FanoutPoolTest, RunsEveryTaskExactlyOnceAcrossGenerations) {
-  FanoutPool pool(3);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<std::atomic<int>> hits(33);
-    pool.Run(hits.size(), [&](size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
-    for (auto& h : hits) {
-      ASSERT_EQ(h.load(), 1);
+  constexpr int kBatches = 200;
+  constexpr int kPerBatch = 64;
+  std::atomic<bool> done{false};
+  int64_t dropped = 0;
+  std::thread ingest_loop([&]() {
+    double value = 0;
+    for (int batch = 0; batch < kBatches; ++batch) {
+      int64_t now = targets[0]->NowMs();
+      for (int i = 0; i < kPerBatch; ++i) {
+        router.Append("sig", now, ++value);
+      }
+      dropped += router.Flush().dropped_late;
+    }
+    done.store(true);
+  });
+  while (!done.load()) {
+    for (Scope* s : targets) {
+      s->TickOnce();
     }
   }
-}
-
-TEST(FanoutPoolTest, TasksRunConcurrentlyWithCaller) {
-  FanoutPool pool(2);
-  std::set<std::thread::id> seen;
-  std::mutex mu;
-  // Tasks sleep so the claiming thread yields the (possibly single) CPU and
-  // the workers get a chance to grab a share.
-  for (int round = 0; round < 50 && seen.size() < 2; ++round) {
-    pool.Run(8, [&](size_t) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(std::this_thread::get_id());
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
+  ingest_loop.join();
+  clock_.AdvanceMs(5);
+  for (Scope* s : targets) {
+    s->TickOnce();
   }
-  EXPECT_GE(seen.size(), 2u);
+  EXPECT_EQ(dropped, 0);
+  for (Scope* s : targets) {
+    EXPECT_EQ(s->counters().buffered_routed, kBatches * kPerBatch)
+        << "scope " << s->name() << " missed span samples";
+    EXPECT_DOUBLE_EQ(s->LatestValue(s->FindSignal("sig")).value_or(-1), kBatches * kPerBatch);
+  }
 }
 
 }  // namespace

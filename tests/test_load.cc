@@ -2,8 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace gscope {
 namespace {
+
+// Sleeps until the spinner has counted some work, for at most 5 s.  A fixed
+// window is not enough: on a busy host the nice(19) thread can go without
+// CPU for longer than any few milliseconds.
+void WaitForIterations(const BackgroundSpinner& spinner) {
+  Clock* clock = SteadyClock::Instance();
+  const Nanos deadline = clock->NowNs() + MillisToNanos(5000);
+  while (spinner.iterations() == 0 && clock->NowNs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 TEST(LoadMeterTest, SpinForCountsIterations) {
   LoadResult result = SpinFor(MillisToNanos(20));
@@ -17,9 +31,7 @@ TEST(LoadMeterTest, BackgroundSpinnerStartStop) {
   EXPECT_FALSE(spinner.running());
   spinner.Start();
   EXPECT_TRUE(spinner.running());
-  // Let it spin a little.
-  LoadResult empty = SpinFor(MillisToNanos(10));
-  (void)empty;
+  WaitForIterations(spinner);
   LoadResult result = spinner.Stop();
   EXPECT_FALSE(spinner.running());
   EXPECT_GT(result.iterations, 0);
@@ -35,10 +47,10 @@ TEST(LoadMeterTest, StopWithoutStartIsEmpty) {
 TEST(LoadMeterTest, RestartableSpinner) {
   BackgroundSpinner spinner;
   spinner.Start();
-  SpinFor(MillisToNanos(5));
+  WaitForIterations(spinner);
   LoadResult first = spinner.Stop();
   spinner.Start();
-  SpinFor(MillisToNanos(5));
+  WaitForIterations(spinner);
   LoadResult second = spinner.Stop();
   EXPECT_GT(first.iterations, 0);
   EXPECT_GT(second.iterations, 0);

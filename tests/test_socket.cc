@@ -1,6 +1,9 @@
 #include "net/socket.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -68,6 +71,27 @@ TEST(SocketTest, ConnectAcceptRoundTrip) {
   }
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(std::string(buf, r.bytes), msg);
+}
+
+// TCP_NODELAY as the kernel reports it: 1 set, 0 clear, -1 unreadable.
+int NoDelay(const Socket& sock) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  if (getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value != 0 ? 1 : 0;
+}
+
+TEST(SocketTest, NagleIsOffOnBothEnds) {
+  // Echo and control replies are small writes.  With Nagle on, each waits
+  // for the peer to ACK the one before, and a delayed ACK holds that for
+  // tens of milliseconds: the server's end needs the option as much as the
+  // client's.
+  Pair pair = MakeConnectedPair();
+  ASSERT_TRUE(pair.ok);
+  EXPECT_EQ(NoDelay(pair.client_side), 1);
+  EXPECT_EQ(NoDelay(pair.server_side), 1);
 }
 
 TEST(SocketTest, ReadOnEmptySocketWouldBlock) {

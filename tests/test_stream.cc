@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <filesystem>
 
 #include "core/scope.h"
 #include "net/stream_client.h"
@@ -33,6 +34,35 @@ class StreamTest : public ::testing::Test {
   MainLoop loop_;  // real clock: sockets need real readiness
   Scope scope_;
 };
+
+// Threads of this process, as the kernel lists them.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(StreamTest, SingleLoopServerStartsNoThread) {
+  // Ingest is handed to every scope on the loop thread that read it, so a
+  // loops = 1 server (without RECORD) runs on its caller's loop alone,
+  // whatever the host's core count.
+  const size_t before = ThreadCount();
+  StreamServer server(&loop_, &scope_);
+  ASSERT_TRUE(server.Listen(0));
+  StreamClient client(&loop_);
+  ASSERT_TRUE(client.Connect(server.port()));
+  scope_.StartPolling();
+  ASSERT_TRUE(RunUntil([&]() {
+    client.SendTuple({scope_.NowMs(), 1.0, "solo"});
+    loop_.RunForMs(2);
+    SignalId id = scope_.FindSignal("solo");
+    return id != 0 && scope_.LatestValue(id) == 1.0;
+  }));
+  EXPECT_EQ(ThreadCount(), before);
+}
 
 TEST_F(StreamTest, ListenOnEphemeralPort) {
   StreamServer server(&loop_, &scope_);
