@@ -70,6 +70,10 @@ for bench in "$build_dir"/bench_*; do
 done
 
 echo "--- ASan+UBSan: net/control correctness ---"
+# Both clients share one transport (ControlClient runs on a StreamClient),
+# so the C ABI's remote connection (gscope_connect/gscope_send over
+# ControlClient) and the tenant replay across a server restart (AUTH before
+# the SUBs) run here beside the stream and control-channel tests.
 asan_dir="$repo_root/build-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -78,12 +82,14 @@ cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$asan_dir" -j --target \
   test_socket test_stream test_datagram_server test_control_channel \
   test_signal_filter test_framing_fuzz test_reliability test_record \
-  example_remote_control
+  test_c_api test_tenant_isolation example_remote_control
 "$asan_dir/test_socket"
 "$asan_dir/test_stream"
 "$asan_dir/test_datagram_server"
 "$asan_dir/test_control_channel"
 "$asan_dir/test_signal_filter"
+"$asan_dir/test_c_api"
+"$asan_dir/test_tenant_isolation"
 
 echo "--- ASan+UBSan fault matrix: framing fuzz + self-healing transport ---"
 # The fault injector mangles every syscall boundary (1-byte reads, partial

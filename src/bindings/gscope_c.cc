@@ -406,7 +406,7 @@ int gscope_connection_stats(gscope_ctx* ctx, gscope_conn_stats* out) {
   out->pongs_received = s.pongs_received;
   out->liveness_timeouts = s.liveness_timeouts;
   out->resumed_commands = s.resumed_commands;
-  out->policy_switches = s.policy_switches;
+  // policy_switches stays 0: no writer switches its overflow policy.
   out->time_offset_ms = ctx->control->time_offset_ms();
   out->last_rtt_ms = ctx->control->last_rtt_ms();
   return 0;

@@ -24,18 +24,20 @@ bool ParseIntArg(std::string_view line, std::string_view prefix, int64_t* out) {
 ControlClient::ControlClient(MainLoop* loop, ControlClientOptions options)
     : loop_(loop),
       options_(options),
-      writer_(loop, options.max_buffer),
       framer_(options.max_line_bytes),
-      jitter_rng_(options.reconnect.seed) {
-  writer_.SetPolicy(options.overflow_policy, MillisToNanos(options.block_deadline_ms));
-  writer_.SetAdaptive(options.adaptive);
-  writer_.SetErrorCallback([this]() { Disconnect(); });
+      stream_(loop, StreamClient::Options{.max_buffer = options.max_buffer,
+                                          .overflow_policy = options.overflow_policy,
+                                          .block_deadline_ms = options.block_deadline_ms,
+                                          .sndbuf_bytes = options.sndbuf_bytes,
+                                          .reconnect = options.reconnect,
+                                          .wire_format = options.wire_format,
+                                          .frame_samples = options.frame_samples}) {
+  stream_.SetInboundCallback([this](std::string_view bytes) { OnInbound(bytes); });
+  stream_.SetStateCallback([this](ConnectState state) { OnStateChange(state); });
+  stream_.SetConnectCallback([this](bool ok, int error) { OnConnectResolved(ok, error); });
 }
 
-ControlClient::~ControlClient() {
-  self_alias_.reset();  // invalidate deferred flush closures before teardown
-  Close();
-}
+ControlClient::~ControlClient() { Close(); }
 
 // Decoder callbacks for the server's framed egress.
 struct ControlClient::RxHandler {
@@ -53,175 +55,58 @@ int64_t ControlClient::LocalNowMs() const {
   return loop_->clock()->NowNs() / kNanosPerMilli;
 }
 
-void ControlClient::SetState(ConnectState state) {
-  if (state_ == state) {
-    return;
+bool ControlClient::Connect(uint16_t port) { return stream_.Connect(port); }
+
+void ControlClient::Close() {
+  StopLiveness();
+  stream_.Close();
+}
+
+void ControlClient::OnStateChange(ConnectState state) {
+  if (state == ConnectState::kConnecting) {
+    // A new attempt: verbs declared from here on ride its queued frames
+    // (flushed at establishment) and must not be replayed.
+    handshake_subs_.clear();
+    handshake_delay_ = false;
+    handshake_auth_ = false;
+    handshake_stage_ = false;
+  } else if (state != ConnectState::kConnected) {
+    StopLiveness();  // the connection is gone
   }
-  state_ = state;
   if (on_state_) {
     on_state_(state);
   }
 }
 
-bool ControlClient::Connect(uint16_t port) {
-  Close();
-  port_ = port;
-  cur_backoff_ms_ = std::max<int64_t>(1, options_.reconnect.initial_backoff_ms);
-  failed_attempts_ = 0;
-  return StartConnect();
+void ControlClient::OnConnectResolved(bool ok, int error) {
+  if (ok) {
+    OnEstablished();
+  }
+  if (on_connect_) {
+    on_connect_(ok, error);
+  }
 }
 
-bool ControlClient::StartConnect() {
-  // Track what is declared during THIS handshake: those verbs ride the
-  // queued frames (flushed at establishment) and must not be replayed.
-  handshake_subs_.clear();
-  handshake_delay_ = false;
-  handshake_auth_ = false;
-  handshake_stage_ = false;
-  stats_.connect_attempts += 1;
-  socket_ = Socket::Connect(port_);
-  if (!socket_.valid()) {
-    return FailAttempt(0);
-  }
-  if (options_.sndbuf_bytes > 0) {
-    socket_.SetSendBufferBytes(options_.sndbuf_bytes);
-  }
-  SetState(ConnectState::kConnecting);
-  connect_watch_ =
-      loop_->AddIoWatch(socket_.fd(), IoCondition::kOut | IoCondition::kErr,
-                        [this](int, IoCondition) { return OnConnectReady(); });
-  if (connect_watch_ == 0) {
-    socket_.Close();
-    return FailAttempt(0);
-  }
-  return true;
-}
-
-void ControlClient::Close() {
-  if (connect_watch_ != 0) {
-    loop_->Remove(connect_watch_);
-    connect_watch_ = 0;
-  }
-  if (read_watch_ != 0) {
-    loop_->Remove(read_watch_);
-    read_watch_ = 0;
-  }
-  if (retry_timer_ != 0) {
-    loop_->Remove(retry_timer_);
-    retry_timer_ = 0;
-  }
-  if (liveness_timer_ != 0) {
-    loop_->Remove(liveness_timer_);
-    liveness_timer_ = 0;
-  }
-  size_t discarded = writer_.Reset();
-  if (state_ == ConnectState::kConnecting) {
-    // Frames queued behind an unresolved handshake resolve to dropped (they
-    // never counted as pushed/sent); back the Reset()-side abandonment out
-    // so the delivered identity keeps holding.
-    stats_.frames_dropped += static_cast<int64_t>(discarded);
-    preconnect_discards_ += static_cast<int64_t>(discarded);
-  }
-  DropStagedWire();
+void ControlClient::OnEstablished() {
+  // The frames queued during the handshake, then (binary) HELLO BIN 1, are
+  // already ahead in the backlog; the session replay follows them (the SUBs
+  // still travel as text: the server parses text until our first binary
+  // frame).
   framer_.Reset();
   decoder_.Reset();
   rx_names_.clear();
-  wire_ = WireState::kTextOnly;
-  socket_.Close();
-  SetState(ConnectState::kDisconnected);
-  preconnect_frames_ = 0;
   time_req_sent_ms_ = -1;
-}
-
-bool ControlClient::FailAttempt(int error) {
-  last_error_ = error;
-  stats_.connect_failures += 1;
-  failed_attempts_ += 1;
-  const ReconnectOptions& r = options_.reconnect;
-  if (r.enabled && (r.max_attempts == 0 || failed_attempts_ < r.max_attempts)) {
-    EnterBackoff();
-    return true;
-  }
-  SetState(ConnectState::kFailed);
-  return false;
-}
-
-void ControlClient::EnterBackoff() {
-  int64_t delay = cur_backoff_ms_;
-  if (options_.reconnect.jitter_frac > 0) {
-    std::uniform_real_distribution<double> jitter(0.0, options_.reconnect.jitter_frac);
-    delay += static_cast<int64_t>(jitter(jitter_rng_) * static_cast<double>(cur_backoff_ms_));
-  }
-  delay = std::max<int64_t>(1, delay);
-  last_backoff_ms_ = delay;
-  cur_backoff_ms_ = std::min<int64_t>(
-      std::max<int64_t>(1, options_.reconnect.max_backoff_ms),
-      static_cast<int64_t>(static_cast<double>(cur_backoff_ms_) *
-                           std::max(1.0, options_.reconnect.multiplier)));
-  retry_timer_ = loop_->AddTimeoutMs(delay, std::function<bool()>([this]() {
-                                       retry_timer_ = 0;
-                                       StartConnect();
-                                       return false;
-                                     }));
-  // Announce the state only after the delay is armed and published:
-  // observers of the kBackoff edge read a consistent last_backoff_ms().
-  SetState(ConnectState::kBackoff);
-}
-
-bool ControlClient::OnConnectReady() {
-  connect_watch_ = 0;
-  int error = socket_.PendingError();
-  if (error != 0) {
-    // Frames queued behind the handshake never left the process: they
-    // resolve to dropped, so commands_sent/tuples_pushed vs frames_dropped
-    // reconcile for the caller; the Reset()-side abandonment is backed out
-    // of the stats mapping to avoid double-booking the loss.
-    stats_.frames_dropped += preconnect_frames_;
-    preconnect_frames_ = 0;
-    preconnect_discards_ += static_cast<int64_t>(writer_.Reset());
-    socket_.Close();
-    FailAttempt(error);
-    if (on_connect_) {
-      on_connect_(false, error);
-    }
-    return false;
-  }
-  SetState(ConnectState::kConnected);
-  failed_attempts_ = 0;
-  cur_backoff_ms_ = std::max<int64_t>(1, options_.reconnect.initial_backoff_ms);
-  establishments_ += 1;
-  if (establishments_ > 1) {
-    stats_.reconnects += 1;
-  }
-  preconnect_frames_ = 0;
-  last_rx_ns_ = loop_->clock()->NowNs();
-  last_tx_ns_ = last_rx_ns_;
-  writer_.Attach(socket_.fd());  // flushes commands queued pre-connect
-  read_watch_ = loop_->AddIoWatch(socket_.fd(), IoCondition::kIn,
-                                  [this](int, IoCondition cond) { return OnReadable(cond); });
-  if (options_.wire_format == WireFormat::kBinary) {
-    // Renegotiate on EVERY establishment, ahead of the session replay (the
-    // SUBs that follow still travel as text; the server parses text until
-    // our first binary frame).  Counted in commands_sent like any verb, but
-    // never in resumed_commands - it is negotiation, not session state.
-    wire_ = WireState::kHelloSent;
-    decoder_.Reset();
-    rx_names_.clear();
-    encoder_.ResetDict();
-    SendCommand("HELLO", "BIN 1");
-  } else {
-    wire_ = WireState::kTextOnly;
-  }
   if (options_.auto_resubscribe) {
     // Session resumption: replay the CURRENT remembered state (so an
     // Unsubscribe/SetDelay issued mid-handshake is never overridden by a
     // stale snapshot), skipping verbs already queued during this handshake
-    // — Attach() just flushed those, and a duplicate SUB would draw an ERR.
-    // SendCommand (not Subscribe) so nothing re-records.  AUTH goes first:
-    // the server scopes the session's filter at SUB time from the tenant
-    // identity, so replayed SUBs must land inside the namespace.
+    // - they are ahead in the backlog, and a duplicate SUB would draw an ERR.
+    // The transport's SendCommand (not Subscribe), so nothing re-records.
+    // AUTH goes first: the server scopes the session's filter at SUB time
+    // from the tenant identity, so replayed SUBs must land inside the
+    // namespace.
     if (has_auth_ && !handshake_auth_) {
-      if (SendCommand("AUTH", auth_token_)) {
+      if (stream_.SendCommand("AUTH", auth_token_)) {
         stats_.resumed_commands += 1;
       }
     }
@@ -230,7 +115,7 @@ bool ControlClient::OnConnectReady() {
           handshake_subs_.end()) {
         continue;
       }
-      if (SendCommand("SUB", pattern)) {
+      if (stream_.SendCommand("SUB", pattern)) {
         stats_.resumed_commands += 1;
       }
     }
@@ -238,7 +123,7 @@ bool ControlClient::OnConnectReady() {
       char buf[24];
       auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), delay_ms_);
       (void)ec;
-      if (SendCommand("DELAY", std::string_view(buf, static_cast<size_t>(p - buf)))) {
+      if (stream_.SendCommand("DELAY", std::string_view(buf, static_cast<size_t>(p - buf)))) {
         stats_.resumed_commands += 1;
       }
     }
@@ -250,7 +135,7 @@ bool ControlClient::OnConnectReady() {
       std::string_view verb = spec.substr(0, space);
       std::string_view spec_arg =
           space == std::string_view::npos ? std::string_view{} : spec.substr(space + 1);
-      if (SendCommand(verb, spec_arg)) {
+      if (stream_.SendCommand(verb, spec_arg)) {
         stats_.resumed_commands += 1;
       }
     }
@@ -258,7 +143,12 @@ bool ControlClient::OnConnectReady() {
   if (options_.sync_time_on_connect) {
     RequestTime();
   }
-  if (options_.ping_interval_ms > 0 || options_.idle_timeout_ms > 0) {
+  last_rx_ns_ = loop_->clock()->NowNs();
+  tx_idle_since_ns_ = last_rx_ns_;
+  tx_commits_seen_ = CommitsExceptPings();
+  // A hard write error during the replay may already have dropped the
+  // connection; liveness then waits for the next establishment.
+  if (connected() && (options_.ping_interval_ms > 0 || options_.idle_timeout_ms > 0)) {
     int64_t period = 0;
     if (options_.ping_interval_ms > 0) {
       period = options_.ping_interval_ms;
@@ -272,16 +162,9 @@ bool ControlClient::OnConnectReady() {
     liveness_timer_ = loop_->AddTimeoutMs(
         period, std::function<bool()>([this]() { return OnLivenessTick(); }));
   }
-  if (on_connect_) {
-    on_connect_(true, 0);
-  }
-  return false;  // one-shot
 }
 
 bool ControlClient::OnLivenessTick() {
-  if (state_ != ConnectState::kConnected) {
-    return true;  // mid-teardown tick; Disconnect removes this timer
-  }
   Nanos now = loop_->clock()->NowNs();
   if (options_.idle_timeout_ms > 0 &&
       now - last_rx_ns_ >= MillisToNanos(options_.idle_timeout_ms)) {
@@ -290,90 +173,66 @@ bool ControlClient::OnLivenessTick() {
     // takes over when enabled.
     stats_.liveness_timeouts += 1;
     liveness_timer_ = 0;  // self-removal via return false below
-    Disconnect();
+    stream_.DropConnection();
     return false;
   }
-  if (options_.ping_interval_ms > 0 &&
-      now - last_tx_ns_ >= MillisToNanos(options_.ping_interval_ms)) {
-    Ping();
+  if (options_.ping_interval_ms > 0) {
+    // Send-idleness is read here, once per tick, rather than stamped on
+    // every Send: any commit since the last tick counts as traffic at this
+    // tick.
+    int64_t commits = CommitsExceptPings();
+    if (commits != tx_commits_seen_) {
+      tx_commits_seen_ = commits;
+      tx_idle_since_ns_ = now;
+    } else if (now - tx_idle_since_ns_ >= MillisToNanos(options_.ping_interval_ms) &&
+               Ping()) {
+      tx_idle_since_ns_ = now;
+    }
   }
   return true;
 }
 
-void ControlClient::Disconnect() {
-  if (read_watch_ != 0) {
-    loop_->Remove(read_watch_);
-    read_watch_ = 0;
-  }
+void ControlClient::StopLiveness() {
   if (liveness_timer_ != 0) {
     loop_->Remove(liveness_timer_);
     liveness_timer_ = 0;
   }
-  DropStagedWire();
-  writer_.Reset();
-  framer_.Reset();
-  decoder_.Reset();
-  rx_names_.clear();
-  wire_ = WireState::kTextOnly;
-  socket_.Close();
-  time_req_sent_ms_ = -1;
-  const ReconnectOptions& r = options_.reconnect;
-  if (r.enabled && port_ != 0 &&
-      (r.max_attempts == 0 || failed_attempts_ < r.max_attempts)) {
-    EnterBackoff();
-    return;
-  }
-  SetState(ConnectState::kDisconnected);
 }
 
-bool ControlClient::OnReadable(IoCondition cond) {
-  if (Has(cond, IoCondition::kErr)) {
-    read_watch_ = 0;
-    Disconnect();
-    return false;
-  }
-  char buf[65536];
-  while (true) {
-    IoResult r = socket_.Read(buf, sizeof(buf));
-    if (r.status == IoResult::Status::kOk) {
-      stats_.bytes_received += static_cast<int64_t>(r.bytes);
-      last_rx_ns_ = loop_->clock()->NowNs();
-      const char* p = buf;
-      size_t n = r.bytes;
-      while (n > 0) {
-        if (wire_ == WireState::kBinary) {
-          RxHandler handler{this};
-          decoder_.Consume(p, n, handler);
-          stats_.parse_errors += decoder_.Take().crc_errors;
-          n = 0;
-          break;
-        }
-        // The "OK HELLO BIN 1" line is the exact flip point: everything the
-        // server sends after it is framed, so the line parser must stop
-        // there and hand the chunk's remainder to the decoder.
-        size_t used = framer_.ConsumeStoppable(
-            p, n, &stats_.parse_errors, [this](std::string_view line) {
-              WireState before = wire_;
-              HandleLine(line);
-              return wire_ == before;
-            });
-        p += used;
-        n -= used;
-      }
-      continue;
-    }
-    if (r.status == IoResult::Status::kWouldBlock) {
-      return true;
-    }
-    if (wire_ == WireState::kBinary) {
-      decoder_.Finish();  // a torn partially-buffered frame counts once
+void ControlClient::OnInbound(std::string_view bytes) {
+  if (bytes.empty()) {
+    // End of stream: a torn partially-buffered frame counts once; a line
+    // without its terminator is still handed over.
+    if (stream_.wire_binary()) {
+      decoder_.Finish();
       stats_.parse_errors += decoder_.Take().crc_errors;
     } else {
       framer_.FlushTail([this](std::string_view line) { HandleLine(line); });
     }
-    read_watch_ = 0;  // returning false removes this watch
-    Disconnect();
-    return false;
+    return;
+  }
+  stats_.bytes_received += static_cast<int64_t>(bytes.size());
+  last_rx_ns_ = loop_->clock()->NowNs();
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  while (n > 0) {
+    if (stream_.wire_binary()) {
+      RxHandler handler{this};
+      decoder_.Consume(p, n, handler);
+      stats_.parse_errors += decoder_.Take().crc_errors;
+      break;
+    }
+    // The "OK HELLO BIN 1" line is the exact flip point: everything the
+    // server sends after it is framed, so the line parser must stop there
+    // and hand the chunk's remainder to the decoder.
+    size_t used = framer_.ConsumeStoppable(
+        p, n, &stats_.parse_errors, [this](std::string_view line) {
+          bool was_binary = stream_.wire_binary();
+          HandleLine(line);
+          return stream_.wire_binary() == was_binary;
+        });
+    p += used;
+    n -= used;
   }
 }
 
@@ -416,9 +275,7 @@ void ControlClient::HandleLine(std::string_view line) {
   if ((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z')) {
     if (line.rfind("OK", 0) == 0) {
       stats_.replies_ok += 1;
-      if (wire_ == WireState::kHelloSent && line.rfind("OK HELLO BIN 1", 0) == 0) {
-        wire_ = WireState::kBinary;  // both directions framed from here
-      }
+      stream_.TakeHelloReply(line);  // "OK HELLO BIN 1": both directions framed
       int64_t server_ms = 0;
       if (time_req_sent_ms_ >= 0 && ParseIntArg(line, "OK TIME", &server_ms)) {
         // Midpoint estimate: the server stamped its scope time somewhere in
@@ -434,9 +291,7 @@ void ControlClient::HandleLine(std::string_view line) {
       }
     } else if (line.rfind("ERR", 0) == 0) {
       stats_.replies_err += 1;
-      if (wire_ == WireState::kHelloSent && line.rfind("ERR HELLO", 0) == 0) {
-        wire_ = WireState::kTextOnly;  // declined: text for good
-      }
+      stream_.TakeHelloReply(line);  // "ERR HELLO": declined, text for good
     } else if (line.rfind("INFO", 0) == 0) {
       stats_.replies_info += 1;
     } else if (line.rfind("PONG", 0) == 0) {
@@ -469,54 +324,14 @@ void ControlClient::HandleLine(std::string_view line) {
   }
 }
 
-bool ControlClient::SendCommand(std::string_view verb, std::string_view arg) {
-  if (state_ != ConnectState::kConnected && state_ != ConnectState::kConnecting) {
-    stats_.frames_dropped += 1;
-    return false;
-  }
-  if (wire_ == WireState::kBinary && !encoder_.empty()) {
-    FlushWire();  // staged pushed tuples precede the verb on the wire
-  }
-  std::string& buf = writer_.BeginFrame();
-  if (wire_ == WireState::kBinary) {
-    size_t mark = buf.size();
-    buf.append(verb);
-    if (!arg.empty()) {
-      buf.push_back(' ');
-      buf.append(arg);
-    }
-    std::string_view line(buf.data() + mark, buf.size() - mark);
-    std::string text(line);  // verbs are cold-path; one scratch copy is fine
-    buf.resize(mark);
-    wire::WireEncoder::EmitTextLineFrame(buf, text);
-  } else {
-    buf.append(verb);
-    if (!arg.empty()) {
-      buf.push_back(' ');
-      buf.append(arg);
-    }
-    buf.push_back('\n');
-  }
-  if (!writer_.CommitFrame()) {
-    stats_.frames_dropped += 1;
-    return false;
-  }
-  if (state_ == ConnectState::kConnecting) {
-    preconnect_frames_ += 1;
-  }
-  stats_.commands_sent += 1;
-  last_tx_ns_ = loop_->clock()->NowNs();
-  return true;
-}
-
 bool ControlClient::Subscribe(std::string_view glob) {
   // Remember the pattern even when the send fails (e.g. disconnected):
   // declared intent is what a reconnect replays.
   if (std::find(sub_patterns_.begin(), sub_patterns_.end(), glob) == sub_patterns_.end()) {
     sub_patterns_.emplace_back(glob);
   }
-  bool sent = SendCommand("SUB", glob);
-  if (sent && state_ == ConnectState::kConnecting) {
+  bool sent = stream_.SendCommand("SUB", glob);
+  if (sent && state() == ConnectState::kConnecting) {
     handshake_subs_.emplace_back(glob);  // already queued; replay must skip it
   }
   return sent;
@@ -528,8 +343,8 @@ bool ControlClient::Auth(std::string_view token) {
   // scoping must exist before subscriptions re-land).
   has_auth_ = true;
   auth_token_.assign(token.data(), token.size());
-  bool sent = SendCommand("AUTH", token);
-  if (sent && state_ == ConnectState::kConnecting) {
+  bool sent = stream_.SendCommand("AUTH", token);
+  if (sent && state() == ConnectState::kConnecting) {
     handshake_auth_ = true;  // the queued AUTH frame already carries it
   }
   return sent;
@@ -540,7 +355,7 @@ bool ControlClient::Unsubscribe(std::string_view glob) {
   if (it != sub_patterns_.end()) {
     sub_patterns_.erase(it);
   }
-  return SendCommand("UNSUB", glob);
+  return stream_.SendCommand("UNSUB", glob);
 }
 
 bool ControlClient::SetDelay(int64_t delay_ms) {
@@ -551,8 +366,8 @@ bool ControlClient::SetDelay(int64_t delay_ms) {
   char buf[24];
   auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), delay_ms);
   (void)ec;
-  bool sent = SendCommand("DELAY", std::string_view(buf, static_cast<size_t>(p - buf)));
-  if (sent && delay_ms >= 0 && state_ == ConnectState::kConnecting) {
+  bool sent = stream_.SendCommand("DELAY", std::string_view(buf, static_cast<size_t>(p - buf)));
+  if (sent && delay_ms >= 0 && state() == ConnectState::kConnecting) {
     handshake_delay_ = true;  // the queued DELAY frame already carries it
   }
   return sent;
@@ -568,8 +383,8 @@ bool ControlClient::Stage(std::string_view spec) {
   std::string_view verb = spec.substr(0, space);
   std::string_view arg =
       space == std::string_view::npos ? std::string_view{} : spec.substr(space + 1);
-  bool sent = SendCommand(verb, arg);
-  if (sent && state_ == ConnectState::kConnecting) {
+  bool sent = stream_.SendCommand(verb, arg);
+  if (sent && state() == ConnectState::kConnecting) {
     handshake_stage_ = true;  // the queued frame already carries it
   }
   return sent;
@@ -579,23 +394,23 @@ bool ControlClient::ClearStage() {
   has_stage_ = false;
   stage_spec_.clear();
   handshake_stage_ = false;
-  return SendCommand("RAW", {});
+  return stream_.SendCommand("RAW", {});
 }
 
-bool ControlClient::RequestList() { return SendCommand("LIST", {}); }
+bool ControlClient::RequestList() { return stream_.SendCommand("LIST", {}); }
 
-bool ControlClient::RequestStages() { return SendCommand("LIST", "STAGES"); }
+bool ControlClient::RequestStages() { return stream_.SendCommand("LIST", "STAGES"); }
 
-bool ControlClient::RequestStats() { return SendCommand("STATS", {}); }
+bool ControlClient::RequestStats() { return stream_.SendCommand("STATS", {}); }
 
 bool ControlClient::Record(std::string_view path) {
   if (path.empty()) {
     return false;
   }
-  return SendCommand("RECORD", path);
+  return stream_.SendCommand("RECORD", path);
 }
 
-bool ControlClient::StopRecord() { return SendCommand("RECORD", "OFF"); }
+bool ControlClient::StopRecord() { return stream_.SendCommand("RECORD", "OFF"); }
 
 bool ControlClient::Replay(int64_t t0, int64_t t1, double speed) {
   std::string arg;
@@ -607,14 +422,14 @@ bool ControlClient::Replay(int64_t t0, int64_t t1, double speed) {
     arg.push_back(' ');
     arg.append(buf, static_cast<size_t>(r.ptr - buf));
   }
-  return SendCommand("REPLAY", arg);
+  return stream_.SendCommand("REPLAY", arg);
 }
 
 bool ControlClient::Ping() {
   char buf[24];
   auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), LocalNowMs());
   (void)ec;
-  bool sent = SendCommand("PING", std::string_view(buf, static_cast<size_t>(p - buf)));
+  bool sent = stream_.SendCommand("PING", std::string_view(buf, static_cast<size_t>(p - buf)));
   if (sent) {
     stats_.pings_sent += 1;
   }
@@ -622,7 +437,7 @@ bool ControlClient::Ping() {
 }
 
 bool ControlClient::RequestTime() {
-  bool sent = SendCommand("TIME", {});
+  bool sent = stream_.SendCommand("TIME", {});
   if (sent) {
     time_req_sent_ms_ = LocalNowMs();
   }
@@ -650,79 +465,7 @@ void ControlClient::ForgetSession() {
 }
 
 bool ControlClient::Send(int64_t time_ms, double value, std::string_view name) {
-  if (state_ != ConnectState::kConnected && state_ != ConnectState::kConnecting) {
-    stats_.frames_dropped += 1;
-    return false;
-  }
-  if (wire_ == WireState::kBinary) {
-    // Stage into the open sample frame; commit/accounting happens at the
-    // flush (inline at a frame's worth, else deferred one loop iteration).
-    wire::StageResult r = encoder_.Add(name, time_ms, value);
-    if (r == wire::StageResult::kFrameFull) {
-      FlushWire();
-      r = encoder_.Add(name, time_ms, value);
-    }
-    if (r != wire::StageResult::kStaged) {
-      stats_.frames_dropped += 1;
-      return false;
-    }
-    if (encoder_.staged_samples() >= options_.frame_samples) {
-      FlushWire();
-    } else {
-      ScheduleWireFlush();
-    }
-    last_tx_ns_ = loop_->clock()->NowNs();
-    return true;
-  }
-  AppendTuple(writer_.BeginFrame(), time_ms, value, name);
-  if (!writer_.CommitFrame()) {
-    stats_.frames_dropped += 1;
-    return false;
-  }
-  if (state_ == ConnectState::kConnecting) {
-    preconnect_frames_ += 1;
-  }
-  stats_.tuples_pushed += 1;
-  last_tx_ns_ = loop_->clock()->NowNs();
-  return true;
-}
-
-void ControlClient::FlushWire() {
-  size_t n = encoder_.staged_samples();
-  if (n == 0) {
-    return;
-  }
-  if (state_ != ConnectState::kConnected || wire_ != WireState::kBinary) {
-    DropStagedWire();  // the connection died between staging and the flush
-    return;
-  }
-  std::string& buf = writer_.BeginFrame();
-  encoder_.EmitFrame(buf);
-  if (!writer_.CommitFrame(static_cast<uint32_t>(n))) {
-    stats_.frames_dropped += 1;
-    return;
-  }
-  stats_.tuples_pushed += static_cast<int64_t>(n);
-}
-
-void ControlClient::ScheduleWireFlush() {
-  if (wire_flush_pending_) {
-    return;
-  }
-  wire_flush_pending_ = true;
-  std::weak_ptr<ControlClient> weak_self = self_alias_;
-  loop_->Invoke([weak_self]() {
-    if (std::shared_ptr<ControlClient> client = weak_self.lock()) {
-      client->wire_flush_pending_ = false;
-      client->FlushWire();
-    }
-  });
-}
-
-void ControlClient::DropStagedWire() {
-  if (encoder_.ClearStaged() > 0) {
-    stats_.frames_dropped += 1;  // the open frame's worth of pushed tuples
-  }
+  return stream_.Send(time_ms, value, name);
 }
 
 }  // namespace gscope

@@ -11,15 +11,17 @@
 // connection, so one process can both produce signals and subscribe to
 // others' (or, for a loopback check, its own).
 //
-// Single-threaded and I/O driven, like StreamClient; the same non-blocking
-// connect discipline (completion via first writability + SO_ERROR) and the
-// same bounded whole-frame egress backlog apply.
+// Built on a StreamClient, which owns the socket, the bounded whole-frame
+// egress backlog, the connect/backoff state machine, HELLO BIN negotiation
+// and binary staging.  This class adds what a session needs on top: the
+// inbound demux, the verbs, the session memory replayed at every
+// establishment, liveness (PING, idle timeout) and TIME sync.
+// Single-threaded and I/O driven.
 #ifndef GSCOPE_NET_CONTROL_CLIENT_H_
 #define GSCOPE_NET_CONTROL_CLIENT_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,8 +29,7 @@
 #include "core/tuple.h"
 #include "net/frame_codec.h"
 #include "net/line_framer.h"
-#include "net/socket.h"
-#include "net/stream_client.h"  // ConnectState
+#include "net/stream_client.h"
 #include "runtime/event_loop.h"
 #include "runtime/framed_writer.h"
 
@@ -61,8 +62,6 @@ struct ControlClientOptions {
   // this closes the self-healing loop: lost link -> backoff -> reconnect ->
   // session replayed, no caller involvement.
   ReconnectOptions reconnect;
-  // Adaptive overflow handling for the outgoing backlog.
-  FramedWriter::AdaptiveOptions adaptive;
   // Liveness (docs/protocol.md, PING/PONG): with ping_interval_ms > 0 the
   // client PINGs whenever the link has been send-idle that long; with
   // idle_timeout_ms > 0 a link that delivered nothing for that long is
@@ -118,7 +117,6 @@ class ControlClient {
     int64_t notices = 0;            // NOTICE lines (server degradation events)
     int64_t liveness_timeouts = 0;  // links declared dead by idle_timeout_ms
     int64_t time_syncs = 0;         // completed TIME round-trips
-    int64_t policy_switches = 0;    // adaptive overflow-policy transitions
   };
 
   using TupleFn = std::function<void(const TupleView& tuple)>;
@@ -138,9 +136,9 @@ class ControlClient {
   bool Connect(uint16_t port);
   void Close();
 
-  ConnectState state() const { return state_; }
-  bool connected() const { return state_ == ConnectState::kConnected; }
-  int last_error() const { return last_error_; }
+  ConnectState state() const { return stream_.state(); }
+  bool connected() const { return stream_.connected(); }
+  int last_error() const { return stream_.last_error(); }
 
   // Control verbs; each returns false if the frame could not be queued
   // (disconnected or backlog full).  Replies arrive asynchronously through
@@ -200,7 +198,7 @@ class ControlClient {
   // RTT of the last completed PING or TIME round-trip, ms (-1 before any).
   int64_t last_rtt_ms() const { return last_rtt_ms_; }
   // The delay the most recent backoff armed (ms).
-  int64_t last_backoff_ms() const { return last_backoff_ms_; }
+  int64_t last_backoff_ms() const { return stream_.last_backoff_ms(); }
 
   // The remembered subscription state that a reconnect would replay.
   const std::vector<std::string>& remembered_patterns() const { return sub_patterns_; }
@@ -217,23 +215,22 @@ class ControlClient {
 
   // Switches the outgoing backlog's overflow policy mid-stream.
   void SetQueuePolicy(OverflowPolicy policy, int64_t block_deadline_ms = 5) {
-    writer_.SetPolicy(policy, MillisToNanos(block_deadline_ms));
+    stream_.SetQueuePolicy(policy, block_deadline_ms);
   }
-  OverflowPolicy queue_policy() const { return writer_.policy(); }
+  OverflowPolicy queue_policy() const { return stream_.queue_policy(); }
 
   // Re-caps the outgoing backlog (live) and the kernel send buffer (next
   // Connect; 0 leaves the kernel default).
   void SetQueueLimit(size_t max_buffer, int sndbuf_bytes = 0) {
-    writer_.SetMaxBuffer(max_buffer);
-    options_.max_buffer = max_buffer;
-    options_.sndbuf_bytes = sndbuf_bytes;
+    stream_.SetQueueLimit(max_buffer, sndbuf_bytes);
   }
 
   // Unsent bytes currently queued toward the server (binary: staged-but-
   // unsealed samples included).
-  size_t pending_bytes() const { return writer_.pending_bytes() + encoder_.staged_bytes(); }
-  // True once HELLO BIN was acknowledged on the current connection.
-  bool wire_binary() const { return wire_ == WireState::kBinary; }
+  size_t pending_bytes() const { return stream_.pending_bytes(); }
+  // True once HELLO BIN was acknowledged on the current connection; the
+  // server's replies and echo are framed from then on too.
+  bool wire_binary() const { return stream_.wire_binary(); }
 
   // Received matched tuples.  The view borrows the read buffer: copy what
   // must outlive the callback.
@@ -246,85 +243,66 @@ class ControlClient {
   void SetStateCallback(StateFn fn) { on_state_ = std::move(fn); }
 
   const Stats& stats() const {
-    // Writer-side counters are folded in lazily: drains happen async.
-    const FramedWriter::Stats& w = writer_.stats();
-    stats_.frames_evicted = w.frames_evicted;
-    // Pre-connect discards are already in frames_dropped (see Close /
-    // OnConnectReady); they never counted as sent, so they are backed out
-    // of the abandoned mapping.
-    stats_.frames_abandoned = w.frames_abandoned - preconnect_discards_;
-    stats_.bytes_sent = w.bytes_written;
-    stats_.bytes_dropped = w.bytes_dropped;
-    stats_.block_time_ns = w.block_time_ns;
-    stats_.backlog_high_water = static_cast<int64_t>(w.high_water_bytes);
-    stats_.policy_switches = w.policy_switches;
+    // Transport counters are folded in lazily: drains happen async.
+    const StreamClient::Stats& t = stream_.stats();
+    const StreamClient::FrameStats f = stream_.frame_stats();
+    stats_.commands_sent = f.lines_sent;
+    stats_.tuples_pushed = f.tuples_committed;
+    stats_.frames_dropped = f.frames_dropped;
+    stats_.frames_evicted = f.frames_evicted;
+    stats_.frames_abandoned = f.frames_abandoned;
+    stats_.bytes_sent = t.bytes_sent;
+    stats_.bytes_dropped = t.bytes_dropped;
+    stats_.block_time_ns = t.block_time_ns;
+    stats_.backlog_high_water = t.backlog_high_water;
+    stats_.connect_failures = t.connect_failures;
+    stats_.connect_attempts = t.connect_attempts;
+    stats_.reconnects = t.reconnects;
     return stats_;
   }
 
  private:
-  // Wire negotiation state (ControlClientOptions::wire_format == kBinary).
-  // One state covers both directions: the server's "OK HELLO BIN 1" line is
-  // the exact point where its egress turns framed, so rx flips mid-chunk on
-  // that line and tx flips with it.
-  enum class WireState : uint8_t { kTextOnly, kHelloSent, kBinary };
-
   struct RxHandler;  // decoder callbacks -> HandleLine / tuple delivery
 
-  bool StartConnect();
-  bool OnConnectReady();
-  bool OnReadable(IoCondition cond);
+  // Transport callbacks.
+  void OnInbound(std::string_view bytes);
+  void OnStateChange(ConnectState state);
+  void OnConnectResolved(bool ok, int error);
+  // A new connection: reset the inbound demux, replay the session, sync
+  // TIME and start the liveness timer.
+  void OnEstablished();
   void HandleLine(std::string_view line);
-  bool SendCommand(std::string_view verb, std::string_view arg);
-  // Seals staged pushed samples into one wire frame in the output backlog.
-  void FlushWire();
-  void ScheduleWireFlush();
-  void DropStagedWire();
   // Installs one rx dictionary binding / delivers one decoded sample batch.
   void BindRxName(uint32_t id, std::string_view name);
   void DeliverRecords(int64_t base_time_ms, const char* records, size_t n);
-  // Tears the live connection down, then enters backoff (reconnect enabled)
-  // or settles in kDisconnected.
-  void Disconnect();
-  bool FailAttempt(int error);
-  void EnterBackoff();
-  void SetState(ConnectState state);
   bool OnLivenessTick();
+  void StopLiveness();
+  // Frames committed so far, the client's own PINGs left out: a change
+  // between liveness ticks means the link was not send-idle.
+  int64_t CommitsExceptPings() const {
+    return stream_.frame_stats().frames_committed - stats_.pings_sent;
+  }
   int64_t LocalNowMs() const;
 
   MainLoop* loop_;
   ControlClientOptions options_;
-  Socket socket_;
-  FramedWriter writer_;
   LineFramer framer_;
-  SourceId connect_watch_ = 0;
-  SourceId read_watch_ = 0;
-  SourceId retry_timer_ = 0;
+  wire::FrameDecoder decoder_;
+  std::vector<std::string> rx_names_;  // echo dictionary, by id - 1
   SourceId liveness_timer_ = 0;
-  ConnectState state_ = ConnectState::kDisconnected;
-  int last_error_ = 0;
-  uint16_t port_ = 0;
-  int64_t cur_backoff_ms_ = 0;
-  int64_t last_backoff_ms_ = 0;
-  int failed_attempts_ = 0;  // consecutive, since the last establishment
-  int64_t establishments_ = 0;
-  std::mt19937 jitter_rng_;
-  Nanos last_rx_ns_ = 0;  // last byte received (liveness idle tracking)
-  Nanos last_tx_ns_ = 0;  // last frame committed (ping pacing)
+  Nanos last_rx_ns_ = 0;          // last byte received (idle timeout)
+  Nanos tx_idle_since_ns_ = 0;    // tick that last saw a commit (ping pacing)
+  int64_t tx_commits_seen_ = 0;   // CommitsExceptPings() at that tick
   int64_t time_req_sent_ms_ = -1;  // local ms when the pending TIME left
   bool has_time_offset_ = false;
   int64_t time_offset_ms_ = 0;
   int64_t last_rtt_ms_ = -1;
-  // Frames committed while kConnecting; folded into frames_dropped if the
-  // handshake fails (they never left the process).
-  int64_t preconnect_frames_ = 0;
-  // Writer-side abandonments that were pre-connect discards (already in
-  // frames_dropped); subtracted in stats().
-  int64_t preconnect_discards_ = 0;
   // Remembered session state (survives Close/Disconnect by design).
   // Establishment replays the CURRENT remembered state so verbs issued
   // while the handshake is in flight are never overridden by a stale
   // snapshot; the handshake_* trackers mark what already rides the queued
-  // frames (flushed first by Attach) so the replay does not duplicate it.
+  // frames (flushed first at establishment) so the replay does not
+  // duplicate it.
   std::vector<std::string> sub_patterns_;
   bool has_delay_ = false;
   int64_t delay_ms_ = 0;
@@ -341,15 +319,9 @@ class ControlClient {
   ConnectFn on_connect_;
   StateFn on_state_;
   mutable Stats stats_;
-  // Binary wire state.
-  WireState wire_ = WireState::kTextOnly;
-  wire::WireEncoder encoder_;
-  wire::FrameDecoder decoder_;
-  std::vector<std::string> rx_names_;  // echo dictionary, by id - 1
-  bool wire_flush_pending_ = false;
-  // Liveness token for the deferred flush closure (declared LAST: destroyed
-  // first, so a queued flush never touches a dead client).
-  std::shared_ptr<ControlClient> self_alias_{this, [](ControlClient*) {}};
+  // The transport (declared LAST: destroyed first, so its teardown never
+  // calls back into a half-destroyed session).
+  StreamClient stream_;
 };
 
 }  // namespace gscope

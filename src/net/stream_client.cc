@@ -1,6 +1,7 @@
 #include "net/stream_client.h"
 
 #include <algorithm>
+#include <string>
 
 namespace gscope {
 
@@ -10,18 +11,9 @@ StreamClient::StreamClient(MainLoop* loop, Options options)
       writer_(loop, options.max_buffer),
       jitter_rng_(options.reconnect.seed) {
   writer_.SetPolicy(options.overflow_policy, MillisToNanos(options.block_deadline_ms));
-  writer_.SetAdaptive(options.adaptive);
   // A hard write error after establishment means the connection is gone; the
   // writer has already dropped the backlog and detached.
-  writer_.SetErrorCallback([this]() {
-    socket_.Close();
-    if (read_watch_ != 0) {
-      loop_->Remove(read_watch_);
-      read_watch_ = 0;
-    }
-    DropStagedWire();
-    HandleConnectionDeath();
-  });
+  writer_.SetErrorCallback([this]() { DropConnection(); });
 }
 
 StreamClient::~StreamClient() {
@@ -84,19 +76,32 @@ void StreamClient::Close() {
     retry_timer_ = 0;
   }
   DropStagedWire();
-  size_t discarded = writer_.Reset();
   if (state_ == ConnectState::kConnecting) {
     // Frames queued behind an unresolved handshake never counted as sent;
     // they resolve to dropped, and the Reset()-side abandonment is backed
     // out so delivered == sent - evicted - abandoned keeps holding.
-    stats_.tuples_dropped += static_cast<int64_t>(discarded);
-    preconnect_discards_ += static_cast<int64_t>(discarded);
+    Tally discarded = DiscardPreconnectBacklog();
+    stats_.tuples_dropped += discarded.tuples;
+    frames_lost_ += discarded.frames;
+  } else {
+    writer_.Reset();
   }
   socket_.Close();
   SetState(ConnectState::kDisconnected);
-  preconnect_tuples_ = 0;
+  preconnect_ = {};
   wire_ = WireState::kTextOnly;
   hello_rx_.Reset();
+}
+
+StreamClient::Tally StreamClient::DiscardPreconnectBacklog() {
+  const FramedWriter::Stats& w = writer_.stats();
+  const int64_t frames_before = w.frames_abandoned;
+  Tally discarded;
+  discarded.tuples = static_cast<int64_t>(writer_.Reset());
+  discarded.frames = w.frames_abandoned - frames_before;
+  preconnect_discards_.tuples += discarded.tuples;
+  preconnect_discards_.frames += discarded.frames;
+  return discarded;
 }
 
 bool StreamClient::OnConnectReady(IoCondition) {
@@ -110,12 +115,10 @@ bool StreamClient::OnConnectReady(IoCondition) {
 
 void StreamClient::ResolveConnect(int error) {
   if (error != 0) {
-    stats_.tuples_dropped += preconnect_tuples_;
-    preconnect_tuples_ = 0;
-    // Already counted dropped above: back the Reset()-side abandonment out
-    // of the stats mapping (they were never sent, so counting them
-    // abandoned too would double-book the loss).
-    preconnect_discards_ += static_cast<int64_t>(writer_.Reset());
+    stats_.tuples_dropped += preconnect_.tuples;
+    frames_lost_ += preconnect_.frames;
+    preconnect_ = {};
+    DiscardPreconnectBacklog();
     socket_.Close();
     FailAttempt(error);
     if (on_connect_) {
@@ -130,67 +133,104 @@ void StreamClient::ResolveConnect(int error) {
   if (establishments_ > 1) {
     stats_.reconnects += 1;
   }
-  stats_.tuples_sent += preconnect_tuples_;
-  preconnect_tuples_ = 0;
+  stats_.tuples_sent += preconnect_.tuples;
+  preconnect_ = {};
   writer_.Attach(socket_.fd());  // flushes anything queued pre-connect
+  wire_ = WireState::kTextOnly;
   if (options_.wire_format == WireFormat::kBinary) {
     // Negotiate on EVERY establishment: a reconnect renegotiates HELLO (and
     // the dictionary rides inside each frame, so nothing else needs replay).
-    // The line travels behind any pre-connect text tuples already queued;
-    // sends stay text until the acknowledgment arrives.  Weight 0: the
-    // HELLO frame carries no tuples, so evicting/abandoning it never
-    // perturbs the tuple accounting.
-    wire_ = WireState::kHelloSent;
+    // The line travels behind any pre-connect frames already queued; sends
+    // stay text until the acknowledgment arrives.  A HELLO lost at the cap
+    // leaves the connection in text.
     hello_rx_.Reset();
     encoder_.ResetDict();
-    writer_.BeginFrame().append("HELLO BIN 1\n");
-    writer_.CommitFrame(0);
-  } else {
-    wire_ = WireState::kTextOnly;
+    if (SendCommand("HELLO", "BIN 1")) {
+      wire_ = WireState::kHelloSent;
+    }
   }
-  // A pure producer never expects data back, so the read watch exists to
-  // notice the server going away promptly (EOF/reset arrives as readable)
-  // instead of on the next failed write.
+  // A pure producer never expects data back, so without an inbound owner
+  // the read watch exists to notice the server going away promptly
+  // (EOF/reset arrives as readable) instead of on the next failed write.
   read_watch_ =
       loop_->AddIoWatch(socket_.fd(), IoCondition::kIn | IoCondition::kHup | IoCondition::kErr,
-                        [this](int, IoCondition) { return OnSocketReadable(); });
+                        [this](int, IoCondition cond) { return OnSocketReadable(cond); });
   if (on_connect_) {
     on_connect_(true, 0);
   }
 }
 
-bool StreamClient::OnSocketReadable() {
-  char buf[256];
-  while (true) {
-    IoResult r = socket_.Read(buf, sizeof(buf));
-    if (r.status == IoResult::Status::kOk) {
-      stats_.bytes_discarded += static_cast<int64_t>(r.bytes);
-      if (wire_ == WireState::kHelloSent) {
-        // The only reply a producer awaits: the HELLO verdict.  Anything
-        // after it (there is nothing today) is discarded as before.
-        hello_rx_.ConsumeStoppable(
-            buf, r.bytes, &hello_rx_overlong_, [this](std::string_view line) {
-              if (line.rfind("OK HELLO BIN 1", 0) == 0) {
-                wire_ = WireState::kBinary;
-              } else if (line.rfind("ERR HELLO", 0) == 0) {
-                wire_ = WireState::kTextOnly;  // declined: stay text for good
-              }
-              return wire_ == WireState::kHelloSent;
-            });
-      }
-      continue;
-    }
-    if (r.status == IoResult::Status::kWouldBlock) {
-      return true;
-    }
-    break;  // EOF or hard error: the connection is gone
+bool StreamClient::TakeHelloReply(std::string_view line) {
+  if (wire_ != WireState::kHelloSent) {
+    return false;
   }
-  read_watch_ = 0;
+  if (line.rfind("OK HELLO BIN 1", 0) == 0) {
+    wire_ = WireState::kBinary;
+  } else if (line.rfind("ERR HELLO", 0) == 0) {
+    wire_ = WireState::kTextOnly;  // declined: stay text for good
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool StreamClient::OnSocketReadable(IoCondition cond) {
+  // A callback below may close or drop this connection; the watch it
+  // removed is then no longer ours to read from.
+  const SourceId watch = read_watch_;
+  if (!Has(cond, IoCondition::kErr)) {
+    char buf[65536];
+    while (true) {
+      IoResult r = socket_.Read(buf, sizeof(buf));
+      if (r.status == IoResult::Status::kOk) {
+        if (on_inbound_) {
+          on_inbound_(std::string_view(buf, r.bytes));
+        } else {
+          stats_.bytes_discarded += static_cast<int64_t>(r.bytes);
+          if (wire_ == WireState::kHelloSent) {
+            // The only reply a producer awaits: the HELLO verdict.  Anything
+            // after it (there is nothing today) is discarded as before.
+            hello_rx_.ConsumeStoppable(
+                buf, r.bytes, &hello_rx_overlong_,
+                [this](std::string_view line) { return !TakeHelloReply(line); });
+          }
+        }
+        if (read_watch_ != watch) {
+          return false;
+        }
+        continue;
+      }
+      if (r.status == IoResult::Status::kWouldBlock) {
+        return true;
+      }
+      // EOF or hard error: the connection is gone.  The owner may still
+      // hold a partial line or frame.
+      if (on_inbound_) {
+        on_inbound_({});
+        if (read_watch_ != watch) {
+          return false;
+        }
+      }
+      break;
+    }
+  }
+  read_watch_ = 0;  // returning false removes this watch
+  DropConnection();
+  return false;
+}
+
+void StreamClient::DropConnection() {
+  if (state_ != ConnectState::kConnected) {
+    return;
+  }
+  if (read_watch_ != 0) {
+    loop_->Remove(read_watch_);
+    read_watch_ = 0;
+  }
   DropStagedWire();
   writer_.Reset();  // unsent frames are lost with the connection (abandoned)
   socket_.Close();
   HandleConnectionDeath();
-  return false;
 }
 
 void StreamClient::HandleConnectionDeath() {
@@ -249,6 +289,7 @@ bool StreamClient::Send(int64_t time_ms, double value, std::string_view name) {
     // (the paper's stance); it is counted dropped rather than queued
     // unboundedly against a server that may never come back.
     stats_.tuples_dropped += 1;
+    frames_lost_ += 1;
     return false;
   }
   if (wire_ == WireState::kBinary) {
@@ -267,7 +308,39 @@ bool StreamClient::Send(int64_t time_ms, double value, std::string_view name) {
   if (state_ == ConnectState::kConnected) {
     stats_.tuples_sent += 1;
   } else {
-    preconnect_tuples_ += 1;
+    preconnect_.tuples += 1;
+    preconnect_.frames += 1;
+  }
+  return true;
+}
+
+bool StreamClient::SendCommand(std::string_view verb, std::string_view arg) {
+  if (state_ != ConnectState::kConnected && state_ != ConnectState::kConnecting) {
+    frames_lost_ += 1;
+    return false;
+  }
+  if (wire_ == WireState::kBinary && !encoder_.empty()) {
+    FlushWire();  // staged samples precede the verb on the wire
+  }
+  std::string line(verb);  // verbs are cold-path; one scratch copy is fine
+  if (!arg.empty()) {
+    line.push_back(' ');
+    line.append(arg);
+  }
+  std::string& buf = writer_.BeginFrame();
+  if (wire_ == WireState::kBinary) {
+    wire::WireEncoder::EmitTextLineFrame(buf, line);
+  } else {
+    buf.append(line).push_back('\n');
+  }
+  // Weight 0: a verb carries no tuples, so evicting or abandoning it never
+  // perturbs the tuple accounting.
+  if (!writer_.CommitFrame(0)) {
+    return false;
+  }
+  lines_sent_ += 1;
+  if (state_ == ConnectState::kConnecting) {
+    preconnect_.frames += 1;
   }
   return true;
 }
@@ -280,6 +353,7 @@ bool StreamClient::SendBinary(int64_t time_ms, double value, std::string_view na
   }
   if (r != wire::StageResult::kStaged) {
     stats_.tuples_dropped += 1;
+    frames_lost_ += 1;
     return false;
   }
   if (encoder_.staged_samples() >= options_.frame_samples) {
@@ -328,7 +402,11 @@ void StreamClient::ScheduleWireFlush() {
 }
 
 void StreamClient::DropStagedWire() {
-  stats_.tuples_dropped += static_cast<int64_t>(encoder_.ClearStaged());
+  size_t n = encoder_.ClearStaged();
+  if (n > 0) {
+    stats_.tuples_dropped += static_cast<int64_t>(n);
+    frames_lost_ += 1;  // the open frame's worth of tuples
+  }
 }
 
 }  // namespace gscope

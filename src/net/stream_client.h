@@ -16,6 +16,13 @@
 // silently swallowed.  Tuples sent while the connect is in flight are
 // queued; they count as sent only once the connection is established (and as
 // dropped if it fails).
+//
+// It is also the transport under ControlClient, which adds a session on top:
+// the inbound bytes go to the session's demux instead of being discarded
+// (SetInboundCallback), verbs commit as lines (SendCommand), the session's
+// HELLO verdict is fed back (TakeHelloReply), and liveness can drop a silent
+// link (DropConnection).  FrameStats counts the same traffic in frames, the
+// unit ControlClient reports.
 #ifndef GSCOPE_NET_STREAM_CLIENT_H_
 #define GSCOPE_NET_STREAM_CLIENT_H_
 
@@ -75,10 +82,8 @@ class StreamClient {
     // moves backpressure from kernel buffering into this client's backlog,
     // where the overflow policy (and its counters) can see it.
     int sndbuf_bytes = 0;
-    // Self-healing knobs: automatic reconnect, and adaptive overflow
-    // handling for the output backlog (see FramedWriter::AdaptiveOptions).
+    // Self-healing: automatic reconnect.
     ReconnectOptions reconnect;
-    FramedWriter::AdaptiveOptions adaptive;
     // Upload format.  kBinary sends HELLO BIN 1 after every establishment
     // and switches to length-prefixed binary frames once the server
     // acknowledges; until then (and whenever the server declines) tuples
@@ -109,9 +114,25 @@ class StreamClient {
     int64_t connect_failures = 0;
     int64_t connect_attempts = 0;    // every TCP connect started (incl. retries)
     int64_t reconnects = 0;          // successful re-establishments after the first
-    int64_t policy_switches = 0;     // adaptive overflow-policy transitions
     int64_t bytes_discarded = 0;     // inbound bytes read and ignored (the
                                      // read watch only exists to detect EOF)
+  };
+
+  // The same traffic counted in frames: a text tuple or a verb line is one
+  // frame, a binary batch of n tuples is one frame.  Verb lines carry no
+  // tuples, so they never show in Stats.
+  struct FrameStats {
+    int64_t frames_committed = 0;  // every frame that entered the backlog
+    int64_t lines_sent = 0;        // verb lines committed (HELLO included)
+    // Tuples committed to the backlog, those queued behind a handshake
+    // included (Stats::tuples_sent counts those only once it completes).
+    int64_t tuples_committed = 0;
+    // Frames lost before the wire: rolled back at the cap, refused while
+    // disconnected, staged but never sealed, or queued behind a handshake
+    // that failed.
+    int64_t frames_dropped = 0;
+    int64_t frames_evicted = 0;
+    int64_t frames_abandoned = 0;  // committed, then lost with the connection
   };
 
   // Invoked each time a connect attempt resolves (with reconnect enabled
@@ -122,6 +143,10 @@ class StreamClient {
   // cycles.  Tests observe kConnected/kBackoff edges here instead of
   // sleeping.
   using StateFn = std::function<void(ConnectState state)>;
+  // Receives the connection's inbound bytes, in reads of up to 64 KiB; an
+  // empty view marks the end of the stream (EOF or a read error), just
+  // before the connection is torn down.
+  using InboundFn = std::function<void(std::string_view bytes)>;
 
   // `loop` is not owned.
   StreamClient(MainLoop* loop, Options options);
@@ -139,8 +164,13 @@ class StreamClient {
   bool Connect(uint16_t port);
   void Close();
 
+  // The connect callback runs once the established connection has flushed
+  // the queued frames and (binary) committed its HELLO.
   void SetConnectCallback(ConnectFn fn) { on_connect_ = std::move(fn); }
   void SetStateCallback(StateFn fn) { on_state_ = std::move(fn); }
+  // Hands inbound bytes to `fn` instead of discarding them.  The owner then
+  // parses the replies, so it feeds the HELLO verdict to TakeHelloReply.
+  void SetInboundCallback(InboundFn fn) { on_inbound_ = std::move(fn); }
 
   ConnectState state() const { return state_; }
   // The delay the most recent backoff armed (ms); for tests and diagnostics.
@@ -159,11 +189,31 @@ class StreamClient {
   // buffer, so steady-state sends perform no per-tuple allocation.
   bool Send(int64_t time_ms, double value, std::string_view name);
 
+  // Commits one verb line, "<verb> <arg>", behind any staged binary
+  // samples: as text, or as a TEXT frame once HELLO was acknowledged.
+  // Returns false if the client is disconnected or the backlog is full.
+  bool SendCommand(std::string_view verb, std::string_view arg);
+  // Applies one reply line to a pending HELLO BIN 1.  Returns true if the
+  // line was the verdict; after "OK HELLO BIN 1" the server's next byte is
+  // framed, so the caller switches its inbound parser there.
+  bool TakeHelloReply(std::string_view line);
+  // Drops the established connection as if it had died: the backlog is
+  // abandoned, and reconnect (when enabled) takes over.
+  void DropConnection();
+
   // Switches the overflow policy mid-stream (between sends).
   void SetQueuePolicy(OverflowPolicy policy, int64_t block_deadline_ms = 5) {
     writer_.SetPolicy(policy, MillisToNanos(block_deadline_ms));
   }
   OverflowPolicy queue_policy() const { return writer_.policy(); }
+
+  // Re-caps the backlog (live) and the kernel send buffer (next Connect;
+  // 0 leaves the kernel default).
+  void SetQueueLimit(size_t max_buffer, int sndbuf_bytes = 0) {
+    writer_.SetMaxBuffer(max_buffer);
+    options_.max_buffer = max_buffer;
+    options_.sndbuf_bytes = sndbuf_bytes;
+  }
 
   // Unsent bytes currently queued (binary: staged-but-unsealed samples
   // included, so "drain until empty" loops cover the open frame too).
@@ -179,15 +229,25 @@ class StreamClient {
     stats_.tuples_evicted = w.units_evicted;
     // Pre-connect frames discarded by a failed/aborted handshake are
     // already in tuples_dropped; they never counted as sent, so they are
-    // backed out of the abandoned mapping.  (Binary frames commit only on
-    // an ESTABLISHED connection, so pre-connect discards are all weight-1
-    // text frames and the subtraction stays unit-exact.)
-    stats_.tuples_abandoned = w.units_abandoned - preconnect_discards_;
+    // backed out of the abandoned mapping.  (The discards are tallied in
+    // writer units, so weight-0 verb lines queued alongside never skew it.)
+    stats_.tuples_abandoned = w.units_abandoned - preconnect_discards_.tuples;
     stats_.bytes_dropped = w.bytes_dropped;
     stats_.block_time_ns = w.block_time_ns;
     stats_.backlog_high_water = static_cast<int64_t>(w.high_water_bytes);
-    stats_.policy_switches = w.policy_switches;
     return stats_;
+  }
+  FrameStats frame_stats() const {
+    const FramedWriter::Stats& w = writer_.stats();
+    return FrameStats{
+        .frames_committed = w.frames_committed,
+        .lines_sent = lines_sent_,
+        // Verb lines commit with weight 0, so the writer's units are tuples.
+        .tuples_committed = w.units_committed,
+        .frames_dropped = w.frames_dropped + frames_lost_,
+        .frames_evicted = w.frames_evicted,
+        .frames_abandoned = w.frames_abandoned - preconnect_discards_.frames,
+    };
   }
 
  private:
@@ -198,19 +258,29 @@ class StreamClient {
     kBinary,     // acknowledged: sends stage into binary frames
   };
 
+  // A tally kept in both units: tuples (Stats) and frames (FrameStats).
+  struct Tally {
+    int64_t tuples = 0;
+    int64_t frames = 0;
+  };
+
   bool StartConnect();
   bool OnConnectReady(IoCondition cond);
   void ResolveConnect(int error);
-  bool OnSocketReadable();
+  bool OnSocketReadable(IoCondition cond);
+  // Empties the backlog of a handshake that never completed.  Those frames
+  // never counted as sent: they resolve to dropped, and the writer's
+  // abandonment of them is backed out in stats() / frame_stats().
+  Tally DiscardPreconnectBacklog();
   bool SendBinary(int64_t time_ms, double value, std::string_view name);
   // Seals the staged samples into one wire frame in the output backlog.
   bool FlushWire();
   void ScheduleWireFlush();
   // Connection death/teardown: staged-but-unsealed samples are lost; they
-  // never counted as sent, so they fold into tuples_dropped.
+  // never counted as sent, so they fold into tuples_dropped (one frame).
   void DropStagedWire();
-  // A previously-established connection died (read EOF/error or a hard
-  // write error).  Enters backoff or settles in kDisconnected.
+  // A previously-established connection died (read EOF/error, a hard write
+  // error, or DropConnection).  Enters backoff or settles in kDisconnected.
   void HandleConnectionDeath();
   // A connect attempt failed.  Arms the backoff timer when retries remain,
   // else settles in kFailed.  Returns true if a retry was armed.
@@ -233,14 +303,17 @@ class StreamClient {
   int failed_attempts_ = 0;    // consecutive, since the last establishment
   int64_t establishments_ = 0;
   std::mt19937 jitter_rng_;
-  // Tuples committed while state_ == kConnecting; folded into tuples_sent
-  // or tuples_dropped when the handshake resolves.
-  int64_t preconnect_tuples_ = 0;
-  // Frames the writer counted abandoned that were pre-connect discards
-  // (already accounted as tuples_dropped); subtracted in stats().
-  int64_t preconnect_discards_ = 0;
+  // Commits made while state_ == kConnecting; folded into sent or dropped
+  // when the handshake resolves.
+  Tally preconnect_;
+  // What the writer counted abandoned that were pre-connect discards
+  // (already accounted as dropped); subtracted in stats() / frame_stats().
+  Tally preconnect_discards_;
+  int64_t frames_lost_ = 0;  // frame drops the writer never saw
+  int64_t lines_sent_ = 0;
   ConnectFn on_connect_;
   StateFn on_state_;
+  InboundFn on_inbound_;
   mutable Stats stats_;
   // Binary wire state.
   WireState wire_ = WireState::kTextOnly;

@@ -738,18 +738,15 @@ void StreamServer::HandleControlLine(LoopShard& shard, int client_key, Client& c
     reply.append(" samples_coalesced ").append(std::to_string(coalesced));
     reply.append(" samples_retained ").append(std::to_string(retained));
     // Robustness counters (appended: the key table is extend-only, clients
-    // scan for keys they know and skip the rest).  Live writer transitions
-    // fold from this shard's clients only; retired ones are global.
-    int64_t policy_switches = stats_.policy_switches.load();
-    for (const auto& [k, c] : shard.clients) {
-      policy_switches += c->writer.stats().policy_switches;
-    }
+    // scan for keys they know and skip the rest).
     reply.append(" pings_received ").append(std::to_string(stats_.pings_received.load()));
     reply.append(" taps_downgraded ").append(std::to_string(stats_.taps_downgraded.load()));
     reply.append(" taps_restored ").append(std::to_string(stats_.taps_restored.load()));
     reply.append(" clients_idle_dropped ")
         .append(std::to_string(stats_.clients_idle_dropped.load()));
-    reply.append(" policy_switches ").append(std::to_string(policy_switches));
+    // Writers never switch policy on their own; the key stays, always 0,
+    // so the key order clients scan for does not shift.
+    reply.append(" policy_switches 0");
     // Binary wire protocol (appended; wire_format is the REQUESTING
     // connection's inbound mode: 0 = text, 1 = negotiated binary).
     reply.append(" frames_rx ").append(std::to_string(stats_.frames_rx.load()));
@@ -1906,9 +1903,6 @@ void StreamServer::DropClient(LoopShard& shard, int client_key) {
     router_.RemoveScope(it->second->session->scope.get());
     shard.session_count.fetch_sub(1, std::memory_order_relaxed);
   }
-  // The retired writer's adaptive transitions fold into the server total
-  // so STATS stays monotone across disconnects.
-  stats_.policy_switches += it->second->writer.stats().policy_switches;
   shard.clients.erase(it);
   shard.client_count.fetch_sub(1, std::memory_order_relaxed);
   stats_.disconnections += 1;

@@ -221,9 +221,6 @@ class StreamServer {
     RelaxedCounter taps_downgraded;     // echo taps switched to kCoalesced
     RelaxedCounter taps_restored;       // echo taps switched back to kEverySample
     RelaxedCounter clients_idle_dropped;  // clients dropped by idle_timeout_ms
-    // Adaptive overflow-policy transitions across session writers (live sum
-    // plus sessions already retired; see DropClient).
-    RelaxedCounter policy_switches;
     // Binary wire protocol v2 (docs/protocol.md "Binary wire protocol").
     RelaxedCounter frames_rx;          // binary frames accepted (CRC-verified)
     RelaxedCounter frames_crc_errors;  // loss-of-sync events (bad CRC/header/torn)

@@ -21,114 +21,7 @@ FramedWriter::~FramedWriter() { Detach(); }
 
 void FramedWriter::SetPolicy(OverflowPolicy policy, Nanos block_deadline_ns) {
   policy_ = policy;
-  base_policy_ = policy;
   block_deadline_ns_ = block_deadline_ns < 0 ? 0 : block_deadline_ns;
-  tuned_deadline_ns_ = block_deadline_ns_;
-  degraded_ = false;
-  stall_since_ = -1;
-  calm_since_ = -1;
-}
-
-void FramedWriter::SetAdaptive(const AdaptiveOptions& options) {
-  adaptive_ = options;
-  if (adaptive_.stall_window_ns < 0) {
-    adaptive_.stall_window_ns = 0;
-  }
-  adaptive_.low_water_frac = std::min(1.0, std::max(0.0, adaptive_.low_water_frac));
-  if (!adaptive_.adapt_policy && degraded_) {
-    policy_ = base_policy_;
-    degraded_ = false;
-  }
-  stall_since_ = -1;
-  calm_since_ = -1;
-}
-
-void FramedWriter::NoteOverflowPressure() {
-  if (!adaptive_.adapt_policy || base_policy_ != OverflowPolicy::kDropNewest) {
-    return;
-  }
-  calm_since_ = -1;
-  if (degraded_) {
-    return;
-  }
-  Nanos now = loop_->clock()->NowNs();
-  if (stall_since_ < 0) {
-    stall_since_ = now;
-    return;
-  }
-  if (now - stall_since_ >= adaptive_.stall_window_ns) {
-    // The backlog has been pinned at the cap across a sustained window of
-    // overflowing commits: drop-newest is now starving the peer of exactly
-    // the freshest data it needs.  Degrade to drop-oldest.
-    policy_ = OverflowPolicy::kDropOldest;
-    degraded_ = true;
-    stats_.policy_switches += 1;
-    stall_since_ = -1;
-  }
-}
-
-void FramedWriter::NoteBacklogLevel() {
-  if (!adaptive_.adapt_policy) {
-    return;
-  }
-  size_t low_water =
-      static_cast<size_t>(adaptive_.low_water_frac * static_cast<double>(max_buffer_));
-  if (pending_bytes() > low_water) {
-    calm_since_ = -1;
-    return;
-  }
-  stall_since_ = -1;
-  if (!degraded_) {
-    return;
-  }
-  Nanos now = loop_->clock()->NowNs();
-  if (calm_since_ < 0) {
-    calm_since_ = now;
-    return;
-  }
-  if (now - calm_since_ >= adaptive_.stall_window_ns) {
-    policy_ = base_policy_;
-    degraded_ = false;
-    stats_.policy_switches += 1;
-    calm_since_ = -1;
-  }
-}
-
-void FramedWriter::UpdateDrainRate() {
-  Nanos now = loop_->clock()->NowNs();
-  if (rate_mark_ns_ < 0) {
-    rate_mark_ns_ = now;
-    bytes_since_mark_ = 0;
-    return;
-  }
-  Nanos elapsed = now - rate_mark_ns_;
-  if (elapsed < kNanosPerMilli) {
-    return;  // window too small for a meaningful sample
-  }
-  double instant = static_cast<double>(bytes_since_mark_) *
-                   static_cast<double>(kNanosPerSecond) / static_cast<double>(elapsed);
-  drain_rate_bps_ = drain_rate_bps_ <= 0 ? instant : 0.7 * drain_rate_bps_ + 0.3 * instant;
-  rate_mark_ns_ = now;
-  bytes_since_mark_ = 0;
-}
-
-Nanos FramedWriter::EffectiveBlockDeadline() {
-  if (!adaptive_.tune_block_deadline || drain_rate_bps_ <= 0) {
-    return block_deadline_ns_;
-  }
-  // Budget the time to drain the current overshoot at the observed rate,
-  // padded 2x for scheduling noise, clamped to the configured band.
-  size_t overshoot = pending_bytes() > max_buffer_ ? pending_bytes() - max_buffer_ : 1;
-  double estimate = static_cast<double>(overshoot) * 2.0 *
-                    static_cast<double>(kNanosPerSecond) / drain_rate_bps_;
-  Nanos tuned = static_cast<Nanos>(estimate);
-  tuned = std::max(adaptive_.min_block_deadline_ns,
-                   std::min(adaptive_.max_block_deadline_ns, tuned));
-  if (tuned != tuned_deadline_ns_) {
-    tuned_deadline_ns_ = tuned;
-    stats_.deadline_tunes += 1;
-  }
-  return tuned;
 }
 
 void FramedWriter::Attach(int fd) {
@@ -186,7 +79,6 @@ bool FramedWriter::CommitFrame(uint32_t weight) {
   }
   size_t frame_len = buffer_.size() - frame_start_;
   if (pending_bytes() > max_buffer_) {
-    NoteOverflowPressure();  // may switch policy_ for this very commit
     if (policy_ == OverflowPolicy::kDropOldest) {
       // A frame that exceeds the cap on its own can never fit: evicting the
       // backlog for it would wipe the queue AND drop it - skip straight to
@@ -222,8 +114,6 @@ bool FramedWriter::CommitFrame(uint32_t weight) {
       stats_.bytes_dropped += static_cast<int64_t>(frame_len);
       return false;
     }
-  } else {
-    NoteBacklogLevel();
   }
   frame_starts_.push_back(FrameRec{frame_start_, weight});
   frame_open_ = false;
@@ -311,7 +201,7 @@ bool FramedWriter::BlockUntilFits() {
   }
   SteadyClock* clock = SteadyClock::Instance();  // waits are real time
   Nanos start = clock->NowNs();
-  Nanos deadline = start + EffectiveBlockDeadline();
+  Nanos deadline = start + block_deadline_ns_;
   while (pending_bytes() > max_buffer_) {
     if (offset_ >= committed_end()) {
       break;  // nothing committed left to drain: the frame alone exceeds the cap
@@ -337,7 +227,6 @@ bool FramedWriter::BlockUntilFits() {
     }
     DrainStatus status = Drain(committed_end());
     PruneSentFrames();
-    UpdateDrainRate();
     if (status == DrainStatus::kError) {
       // Cleanup (Reset + error callback) belongs to CommitFrame, which
       // must finish its own accounting first.
@@ -376,7 +265,6 @@ FramedWriter::DrainStatus FramedWriter::Drain(size_t limit) {
     if (n >= 0) {
       offset_ += static_cast<size_t>(n);
       stats_.bytes_written += n;
-      bytes_since_mark_ += n;
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -411,8 +299,6 @@ void FramedWriter::CompactConsumedPrefix() {
 bool FramedWriter::OnWritable() {
   DrainStatus status = Drain(buffer_.size());
   PruneSentFrames();
-  UpdateDrainRate();
-  NoteBacklogLevel();
   if (status == DrainStatus::kBlocked) {
     CompactConsumedPrefix();
     return true;  // keep the watch; try again when writable

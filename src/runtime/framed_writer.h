@@ -79,30 +79,6 @@ class FramedWriter {
     int64_t units_abandoned = 0;
     int64_t block_time_ns = 0;     // time spent waiting (kBlockWithDeadline)
     size_t high_water_bytes = 0;   // max unsent backlog ever observed
-    int64_t policy_switches = 0;   // adaptive degrade + recover transitions
-    int64_t deadline_tunes = 0;    // adaptive block-deadline adjustments
-  };
-
-  // Graceful-degradation knobs (ROADMAP item 5).  Both mechanisms observe
-  // pressure only at commit/drain points - no timers of their own - and read
-  // the loop's clock, so a SimClock test can script a stall precisely.
-  struct AdaptiveOptions {
-    // With base policy kDropNewest: once commits keep overflowing with no
-    // relief for stall_window_ns, switch to kDropOldest (freshness beats
-    // history on a pinned peer); switch back after the backlog has stayed
-    // at or below low_water_frac * max_buffer for the same window.  Each
-    // direction counts one policy_switch.
-    bool adapt_policy = false;
-    Nanos stall_window_ns = MillisToNanos(25);
-    double low_water_frac = 0.5;
-    // With base policy kBlockWithDeadline: scale each wait to the observed
-    // drain rate (time to drain the current overshoot, padded 2x) instead of
-    // the fixed deadline, clamped to [min, max].  A fast-draining peer stops
-    // charging producers the full worst-case deadline; a slow one is not
-    // waited on pointlessly past max.
-    bool tune_block_deadline = false;
-    Nanos min_block_deadline_ns = MillisToNanos(1);
-    Nanos max_block_deadline_ns = MillisToNanos(50);
   };
 
   // Invoked (once) when a drain hits a hard write error; the writer has
@@ -120,21 +96,9 @@ class FramedWriter {
   // Selects the overflow policy.  `block_deadline_ns` bounds each
   // kBlockWithDeadline wait; with no fd attached (or a zero deadline) that
   // policy degrades to kDropNewest for the commit in question.  May be
-  // changed at any time between frames.  Resets any adaptive degradation in
-  // progress (the new policy becomes the base).
+  // changed at any time between frames.
   void SetPolicy(OverflowPolicy policy, Nanos block_deadline_ns = 0);
-  // The policy currently in effect - differs from configured_policy() while
-  // adaptively degraded.
   OverflowPolicy policy() const { return policy_; }
-  OverflowPolicy configured_policy() const { return base_policy_; }
-
-  void SetAdaptive(const AdaptiveOptions& options);
-  const AdaptiveOptions& adaptive() const { return adaptive_; }
-  // Last block deadline actually used (== the configured one until tuning
-  // adjusts it).
-  Nanos effective_block_deadline_ns() const { return tuned_deadline_ns_; }
-  // EWMA of the observed drain rate, bytes/sec; 0 until measured.
-  double drain_rate_bps() const { return drain_rate_bps_; }
 
   // Re-caps the unsent backlog.  Consulted only at commit time, so shrinking
   // below the current backlog simply makes the next commits overflow.
@@ -196,28 +160,11 @@ class FramedWriter {
   // kBlockWithDeadline: polls the fd and drains until the backlog fits or
   // the deadline passes.  Returns false if a hard error reset the writer.
   bool BlockUntilFits();
-  // Adaptive policy: called on every overflowing commit / every
-  // below-the-cap observation; performs the degrade / recover transitions.
-  void NoteOverflowPressure();
-  void NoteBacklogLevel();
-  // Folds bytes drained since the last mark into the drain-rate EWMA.
-  void UpdateDrainRate();
-  // The deadline BlockUntilFits should budget for this commit.
-  Nanos EffectiveBlockDeadline();
 
   MainLoop* loop_;
   size_t max_buffer_;
   OverflowPolicy policy_ = OverflowPolicy::kDropNewest;
-  OverflowPolicy base_policy_ = OverflowPolicy::kDropNewest;
   Nanos block_deadline_ns_ = 0;
-  AdaptiveOptions adaptive_;
-  bool degraded_ = false;     // policy_ switched away from base_policy_
-  Nanos stall_since_ = -1;    // first overflowing commit of the current stall
-  Nanos calm_since_ = -1;     // backlog first seen below low water
-  Nanos tuned_deadline_ns_ = 0;
-  Nanos rate_mark_ns_ = -1;
-  int64_t bytes_since_mark_ = 0;
-  double drain_rate_bps_ = 0;
   int fd_ = -1;
   SourceId watch_ = 0;
   std::string buffer_;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -17,6 +18,7 @@
 #include "core/scope.h"
 #include "freq/spectrum.h"
 #include "net/control_client.h"
+#include "net/socket.h"
 #include "net/stream_client.h"
 #include "net/stream_server.h"
 #include "runtime/event_loop.h"
@@ -644,6 +646,44 @@ TEST_F(ControlChannelTest, UnsubscribeDuringHandshakeIsNotOverriddenByReplay) {
   // Exactly one ERR in the whole scenario: the queued UNSUB landing on the
   // fresh session (unknown-pattern, benign).  No duplicate-SUB ERR ever.
   EXPECT_EQ(viewer.stats().replies_err, 1);
+}
+
+TEST_F(ControlChannelTest, RefusedConnectResolvesQueuedFramesToDropped) {
+  // Frames queued behind a handshake that is then refused never left the
+  // process: they count as dropped, never as abandoned, while the verb and
+  // the tuple still count as committed - and the declared pattern is kept
+  // for the next establishment.
+  uint16_t dead_port = 0;
+  { Socket probe = Socket::Listen(0, &dead_port); }
+
+  ControlClient viewer(&loop_);
+  bool resolved = false;
+  viewer.SetConnectCallback([&](bool, int) { resolved = true; });
+  if (!viewer.Connect(dead_port)) {
+    // The kernel refused synchronously: still surfaced, never "connected".
+    EXPECT_EQ(viewer.state(), ConnectState::kFailed);
+    EXPECT_FALSE(viewer.connected());
+    return;
+  }
+  EXPECT_EQ(viewer.state(), ConnectState::kConnecting);
+  EXPECT_TRUE(viewer.Subscribe("a_*"));
+  EXPECT_TRUE(viewer.Send(1, 1.0, "x"));
+
+  ASSERT_TRUE(RunUntil([&]() { return resolved; }));
+  EXPECT_EQ(viewer.state(), ConnectState::kFailed);
+  EXPECT_EQ(viewer.last_error(), ECONNREFUSED);
+  const ControlClient::Stats& s = viewer.stats();
+  EXPECT_EQ(s.connect_failures, 1);
+  EXPECT_EQ(s.commands_sent, 1);
+  EXPECT_EQ(s.tuples_pushed, 1);
+  EXPECT_EQ(s.frames_dropped, 2);
+  EXPECT_EQ(s.frames_abandoned, 0);
+  EXPECT_EQ(s.frames_evicted, 0);
+  EXPECT_EQ(viewer.remembered_patterns().size(), 1u);
+
+  // Further sends fail immediately, one dropped frame each.
+  EXPECT_FALSE(viewer.Send(2, 2.0, "x"));
+  EXPECT_EQ(viewer.stats().frames_dropped, 3);
 }
 
 TEST_F(ControlChannelTest, StatsVerbReturnsCounterLine) {

@@ -1,6 +1,6 @@
 // Self-healing transport tests: deterministic fault injection, automatic
 // reconnect with capped backoff, PING/PONG + TIME liveness, and graceful
-// degradation (adaptive overflow policy, server-side tap downgrade).
+// degradation (server-side tap downgrade).
 //
 // "Faults in Linux" (PAPERS.md): error-handling code that is never executed
 // is where defects concentrate.  Every scenario here scripts the unhealthy
@@ -12,9 +12,6 @@
 // Registered RUN_SERIAL + LABELS stress: the injector is process-global and
 // several tests saturate loopback buffers on purpose.
 #include <gtest/gtest.h>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -60,6 +57,12 @@ class ReliabilityTest : public ::testing::Test {
     listener.Close();
     return port;
   }
+
+  // Reconnect-ladder assertions shared by StreamClient and ControlClient.
+  template <typename Client, typename ClientOptions>
+  void ExpectBackoffGrowsToCapWithBoundedJitter();
+  template <typename Client, typename ClientOptions>
+  void ExpectMaxAttemptsSettlesInFailed();
 
   MainLoop loop_;  // real clock: sockets need real readiness
   Scope scope_;
@@ -234,16 +237,19 @@ TEST_F(ReliabilityTest, MidStreamKillTriggersReconnectAndResync) {
 // Reconnect state machine
 // ---------------------------------------------------------------------------
 
-TEST_F(ReliabilityTest, BackoffGrowsToCapWithBoundedJitter) {
+// One backoff ladder, checked through both clients (ControlClient runs on a
+// StreamClient, so the same bounds must hold for each).
+template <typename Client, typename ClientOptions>
+void ReliabilityTest::ExpectBackoffGrowsToCapWithBoundedJitter() {
   const uint16_t dead_port = DeadPort();
-  StreamClient::Options copt;
+  ClientOptions copt;
   copt.reconnect.enabled = true;
   copt.reconnect.initial_backoff_ms = 5;
   copt.reconnect.max_backoff_ms = 40;
   copt.reconnect.multiplier = 2.0;
   copt.reconnect.jitter_frac = 0.25;
   copt.reconnect.seed = 3;
-  StreamClient client(&loop_, copt);
+  Client client(&loop_, copt);
 
   std::vector<ConnectState> states;
   std::vector<int64_t> backoffs;
@@ -281,18 +287,35 @@ TEST_F(ReliabilityTest, BackoffGrowsToCapWithBoundedJitter) {
   EXPECT_EQ(client.state(), ConnectState::kDisconnected);
 }
 
-TEST_F(ReliabilityTest, MaxAttemptsSettlesInFailed) {
+template <typename Client, typename ClientOptions>
+void ReliabilityTest::ExpectMaxAttemptsSettlesInFailed() {
   const uint16_t dead_port = DeadPort();
-  StreamClient::Options copt;
+  ClientOptions copt;
   copt.reconnect.enabled = true;
   copt.reconnect.initial_backoff_ms = 2;
   copt.reconnect.max_backoff_ms = 8;
   copt.reconnect.max_attempts = 3;
-  StreamClient client(&loop_, copt);
+  Client client(&loop_, copt);
   ASSERT_TRUE(client.Connect(dead_port));
   ASSERT_TRUE(RunUntil([&]() { return client.state() == ConnectState::kFailed; }));
   EXPECT_EQ(client.stats().connect_attempts, 3);
   EXPECT_NE(client.last_error(), 0);
+}
+
+TEST_F(ReliabilityTest, BackoffGrowsToCapWithBoundedJitter) {
+  ExpectBackoffGrowsToCapWithBoundedJitter<StreamClient, StreamClient::Options>();
+}
+
+TEST_F(ReliabilityTest, ControlClientBackoffGrowsToCapWithBoundedJitter) {
+  ExpectBackoffGrowsToCapWithBoundedJitter<ControlClient, ControlClientOptions>();
+}
+
+TEST_F(ReliabilityTest, MaxAttemptsSettlesInFailed) {
+  ExpectMaxAttemptsSettlesInFailed<StreamClient, StreamClient::Options>();
+}
+
+TEST_F(ReliabilityTest, ControlClientMaxAttemptsSettlesInFailed) {
+  ExpectMaxAttemptsSettlesInFailed<ControlClient, ControlClientOptions>();
 }
 
 TEST_F(ReliabilityTest, ReconnectEstablishesOnceServerAppears) {
@@ -645,98 +668,6 @@ TEST_F(ReliabilityTest, TimeSyncComposesWithBinaryWire) {
   EXPECT_LE(std::abs(diff), 100) << "offset " << viewer.time_offset_ms();
   EXPECT_EQ(server.stats().frames_crc_errors, 0);
   EXPECT_EQ(server.stats().parse_errors, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Graceful degradation: adaptive overflow policy (SimClock-deterministic)
-// ---------------------------------------------------------------------------
-
-TEST(ReliabilityAdaptiveTest, PolicyDegradesUnderSustainedStallThenReverts) {
-  SimClock sim;
-  MainLoop loop(&sim);
-  FramedWriter writer(&loop, /*max_buffer=*/256);
-  writer.SetPolicy(OverflowPolicy::kDropNewest);
-  FramedWriter::AdaptiveOptions adaptive;
-  adaptive.adapt_policy = true;
-  adaptive.stall_window_ns = MillisToNanos(10);
-  adaptive.low_water_frac = 0.5;
-  writer.SetAdaptive(adaptive);
-
-  auto commit = [&](size_t n) {
-    std::string& buf = writer.BeginFrame();
-    buf.append(n, 'x');
-    return writer.CommitFrame();
-  };
-
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(commit(64));  // exactly at the cap, no overflow yet
-  }
-  EXPECT_FALSE(commit(64));  // first overflow: the stall clock starts
-  EXPECT_EQ(writer.policy(), OverflowPolicy::kDropNewest);
-  sim.AdvanceMs(12);         // stall persists past the window
-  EXPECT_TRUE(commit(64));   // degrade fires for this very commit: evict+fit
-  EXPECT_EQ(writer.policy(), OverflowPolicy::kDropOldest);
-  EXPECT_EQ(writer.configured_policy(), OverflowPolicy::kDropNewest);
-  EXPECT_EQ(writer.stats().policy_switches, 1);
-  EXPECT_GE(writer.stats().frames_evicted, 1);
-
-  // Recovery: the peer drains, the backlog stays calm a full window, and the
-  // base policy is restored.
-  int fds[2];
-  ASSERT_EQ(0, pipe2(fds, O_NONBLOCK));
-  writer.Attach(fds[1]);
-  loop.RunForMs(2);
-  EXPECT_EQ(writer.pending_bytes(), 0u);
-  sim.AdvanceMs(12);
-  EXPECT_TRUE(commit(32));  // below low water after a calm window: revert
-  EXPECT_EQ(writer.policy(), OverflowPolicy::kDropNewest);
-  EXPECT_EQ(writer.stats().policy_switches, 2);
-  writer.Detach();
-  close(fds[0]);
-  close(fds[1]);
-}
-
-TEST(ReliabilityAdaptiveTest, BlockDeadlineTunedToObservedDrainRate) {
-  SimClock sim;
-  MainLoop loop(&sim);
-  FramedWriter writer(&loop, /*max_buffer=*/256);
-  writer.SetPolicy(OverflowPolicy::kBlockWithDeadline, MillisToNanos(20));
-  FramedWriter::AdaptiveOptions adaptive;
-  adaptive.tune_block_deadline = true;
-  adaptive.min_block_deadline_ns = MillisToNanos(1);
-  adaptive.max_block_deadline_ns = MillisToNanos(5);
-  writer.SetAdaptive(adaptive);
-  EXPECT_EQ(writer.effective_block_deadline_ns(), MillisToNanos(20));
-
-  int fds[2];
-  ASSERT_EQ(0, pipe2(fds, O_NONBLOCK));
-  writer.Attach(fds[1]);
-
-  auto commit = [&](size_t n) {
-    std::string& buf = writer.BeginFrame();
-    buf.append(n, 'x');
-    return writer.CommitFrame();
-  };
-
-  // Teach the EWMA a drain rate: 64 bytes every 2 virtual ms.
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(commit(64));
-    loop.RunForMs(2);
-  }
-  ASSERT_GT(writer.drain_rate_bps(), 0.0);
-
-  // An overflowing commit budgets its wait from the rate, not the fixed
-  // 20ms deadline, clamped into [min, max].
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(commit(64));  // queue 192 without draining
-  }
-  EXPECT_TRUE(commit(128));  // overflow: blocks briefly, pipe has room
-  EXPECT_GE(writer.stats().deadline_tunes, 1);
-  EXPECT_GE(writer.effective_block_deadline_ns(), adaptive.min_block_deadline_ns);
-  EXPECT_LE(writer.effective_block_deadline_ns(), adaptive.max_block_deadline_ns);
-  writer.Detach();
-  close(fds[0]);
-  close(fds[1]);
 }
 
 // ---------------------------------------------------------------------------

@@ -110,17 +110,23 @@ TEST_F(StreamTest, MultipleClientsOneScope) {
   StreamClient b(&loop_);
   ASSERT_TRUE(a.Connect(server.port()));
   ASSERT_TRUE(b.Connect(server.port()));
+  // A tuple stamped NowMs() is shown a delay later.  At delay 0 an ingest
+  // that crosses a millisecond boundary late-drops it; 100 ms is slack that
+  // ingest cannot overrun.
+  scope_.SetDelayMs(100);
   scope_.StartPolling();
   ASSERT_TRUE(RunUntil([&]() { return server.client_count() == 2; }));
 
   a.SendTuple({scope_.NowMs(), 1.0, "client_a"});
   b.SendTuple({scope_.NowMs(), 2.0, "client_b"});
   ASSERT_TRUE(RunUntil([&]() { return server.stats().tuples >= 2; }));
+  // An auto-created signal has a latest value (0) as soon as it ticks, so
+  // wait for the sent values themselves to be shown.
   ASSERT_TRUE(RunUntil([&]() {
     SignalId ia = scope_.FindSignal("client_a");
     SignalId ib = scope_.FindSignal("client_b");
-    return ia != 0 && ib != 0 && scope_.LatestValue(ia).has_value() &&
-           scope_.LatestValue(ib).has_value();
+    return ia != 0 && ib != 0 && scope_.LatestValue(ia) == 1.0 &&
+           scope_.LatestValue(ib) == 2.0;
   }));
   EXPECT_DOUBLE_EQ(*scope_.LatestValue(scope_.FindSignal("client_a")), 1.0);
   EXPECT_DOUBLE_EQ(*scope_.LatestValue(scope_.FindSignal("client_b")), 2.0);
