@@ -155,11 +155,15 @@ echo "--- TSan: sharded per-core loops (accept spread, cross-loop routing, tenan
 # The loops > 1 configuration is where worker loop threads touch the shared
 # route tables, the relaxed client counters and the hand-off acceptor; the
 # sharded fault matrix re-runs the fault x policy schedules with
-# server_loops = 4 on top.  loops = 1 coverage rides the regular suites.
+# server_loops = 4 on top, and the cross-loop deadline test pushes every
+# span into a session scope that drains, and moves its own timer, on
+# another loop.  loops = 1 coverage rides the regular suites.
 "$tsan_dir/test_loop_sharding"
 "$tsan_dir/test_tenant_isolation"
 "$tsan_dir/test_reliability" \
   --gtest_filter='ReliabilityMatrixTest.ShardedLoopsFaultMatrixHoldsInvariants'
+"$tsan_dir/test_control_channel" \
+  --gtest_filter='ControlChannelTest.CrossLoopEchoLeavesAtTheDisplayDeadline'
 
 echo "--- TSan: shared stage groups under sharded server loops ---"
 # Six sessions attach the same derived stage with server loops = 4: the

@@ -291,6 +291,9 @@ class IngestSpanQueue {
     int64_t dropped_overflow = 0;
   };
 
+  // CollectDisplayable's answer when nothing is left queued.
+  static constexpr int64_t kNoStamp = std::numeric_limits<int64_t>::max();
+
   explicit IngestSpanQueue(size_t max_samples)
       : max_samples_(max_samples == 0 ? 1 : max_samples),
         staging_limit_(std::clamp<size_t>(max_samples_ / 4, 1, kStagingBlockSamples)) {}
@@ -344,13 +347,16 @@ class IngestSpanQueue {
   // before now_ms - delay_ms) into *out, in FIFO order.  A partly
   // displayable span keeps its tail in place, and everything kept is
   // stamped after everything taken, so a later tick never delivers a sample
-  // older than one of the same span delivered now.  Loop thread.
-  void CollectDisplayable(int64_t now_ms, int64_t delay_ms, std::vector<IngestSpan>* out) {
+  // older than one of the same span delivered now.  Returns the earliest
+  // stamp still queued or staged (kNoStamp when none): the next sample to
+  // become displayable, read off the same walk.  Loop thread.
+  int64_t CollectDisplayable(int64_t now_ms, int64_t delay_ms, std::vector<IngestSpan>* out) {
     const int64_t cutoff = now_ms - delay_ms;
     std::lock_guard<std::mutex> lock(mu_);
     if (staging_min_ms_ <= cutoff) {
       SealLocked();
     }
+    int64_t earliest = staging_min_ms_;
     size_t kept = 0;
     for (size_t i = 0; i < spans_.size(); ++i) {
       IngestSpan& span = spans_[i];
@@ -365,12 +371,15 @@ class IngestSpanQueue {
         out->back().end = cut;
         span.begin = cut;
       }
+      // Time-sorted: a kept tail's first sample is its earliest.
+      earliest = std::min(earliest, span.block->samples[span.begin].time_ms);
       if (kept != i) {
         spans_[kept] = std::move(span);
       }
       ++kept;
     }
     spans_.erase(spans_.begin() + static_cast<ptrdiff_t>(kept), spans_.end());
+    return earliest;
   }
 
   void CountLateDrops(int64_t n) {
@@ -392,7 +401,6 @@ class IngestSpanQueue {
   // Direct pushes seal into spans of at most this many samples, and of at
   // most a quarter of the capacity, so overflow evicts in small steps.
   static constexpr size_t kStagingBlockSamples = 1024;
-  static constexpr int64_t kNoStaging = std::numeric_limits<int64_t>::max();
 
   void SealLocked() {
     if (staging_ == nullptr) {
@@ -401,7 +409,7 @@ class IngestSpanQueue {
     staging_->SortByTime();
     uint32_t n = static_cast<uint32_t>(staging_->samples.size());
     spans_.push_back(IngestSpan{std::move(staging_), nullptr, 0, n});
-    staging_min_ms_ = kNoStaging;
+    staging_min_ms_ = kNoStamp;
     stats_.spans_pushed += 1;
   }
   // Evicts the oldest spans while over capacity.  The newest span stays (a
@@ -423,7 +431,7 @@ class IngestSpanQueue {
   mutable std::mutex mu_;
   std::vector<IngestSpan> spans_;
   std::shared_ptr<IngestBlock> staging_;  // null until the next direct push
-  int64_t staging_min_ms_ = kNoStaging;   // oldest staged stamp
+  int64_t staging_min_ms_ = kNoStamp;     // oldest staged stamp
   BlockPool pool_{32};
   size_t queued_samples_ = 0;
   Stats stats_;

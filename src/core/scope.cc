@@ -331,6 +331,14 @@ bool Scope::StartPolling() {
   return true;
 }
 
+bool Scope::StartDraining(DrainFn after_drain) {
+  if (!after_drain) {
+    return false;
+  }
+  after_drain_ = std::move(after_drain);
+  return StartPolling();
+}
+
 void Scope::StopPolling() {
   if (poll_source_ != 0) {
     loop_->Remove(poll_source_);
@@ -494,6 +502,10 @@ void Scope::TickOnce(int64_t lost) {
 }
 
 bool Scope::OnPollTick(const TimeoutTick& tick) {
+  if (after_drain_) {
+    OnDrainTick(tick);
+    return true;
+  }
   std::unique_lock<std::mutex> tick_lock = MaybeTickLock();
   counters_.ticks += 1;
   counters_.lost_ticks += tick.lost;
@@ -508,26 +520,59 @@ bool Scope::OnPollTick(const TimeoutTick& tick) {
   } else {
     SamplePolling(NowMs(), tick.lost);
   }
-  // Publish the drain tallies for cross-loop STATS folds: one relaxed
-  // store per tick keeps the per-sample drain path atomic-free.
+  PublishCoalesceMirror();
+  return more;
+}
+
+void Scope::OnDrainTick(const TimeoutTick& tick) {
+  bool bring_forward = false;
+  Nanos wake_ns = 0;
+  {
+    std::unique_lock<std::mutex> tick_lock = MaybeTickLock();
+    counters_.ticks += 1;
+    counters_.lost_ticks += tick.lost;
+    const int64_t now_ms = NowMs();
+    const int64_t delay = delay_ms();
+    const int64_t earliest = DrainIngestQueue(now_ms, delay);
+    PublishCoalesceMirror();
+    // Bring the next drain forward to the earliest queued deadline, but only
+    // for an every-sample tap: a kCoalesced tap keeps one winner per signal
+    // per period.  Everything displayable was just taken, so that deadline
+    // lies past now_ms; one further than a period away is left to the
+    // period tick (which also keeps the nanosecond product in range).
+    int64_t due_ms = 0;
+    if (earliest != IngestSpanQueue::kNoStamp && TapNeedsHistory() &&
+        !__builtin_add_overflow(earliest, delay, &due_ms) && due_ms - now_ms <= period_ms_) {
+      bring_forward = true;
+      wake_ns = start_ns_.load(std::memory_order_relaxed) + MillisToNanos(due_ms);
+    }
+  }
+  // Outside the tick lock: the owner's end of drain writes to sockets.
+  after_drain_();
+  if (bring_forward) {
+    loop_->MoveTimeoutEarlier(poll_source_, wake_ns);
+  }
+}
+
+void Scope::PublishCoalesceMirror() {
+  // One relaxed store per tick keeps the per-sample drain path atomic-free.
   coalesce_mirror_.samples_coalesced = counters_.samples_coalesced;
   coalesce_mirror_.samples_retained = counters_.samples_retained;
-  return more;
 }
 
 void Scope::SamplePolling(int64_t now_ms, int64_t lost) {
   // First route freshly displayable buffered samples to their signals.
-  DrainIngestQueue(now_ms);
+  DrainIngestQueue(now_ms, delay_ms());
   for (SignalState& state : signals_) {
     double raw = SampleSource(state);
     CommitSample(state, raw, lost, now_ms);
   }
 }
 
-void Scope::DrainIngestQueue(int64_t now_ms) {
-  ingest_spans_.CollectDisplayable(now_ms, delay_ms(), &span_scratch_);
+int64_t Scope::DrainIngestQueue(int64_t now_ms, int64_t delay_ms) {
+  const int64_t earliest = ingest_spans_.CollectDisplayable(now_ms, delay_ms, &span_scratch_);
   if (span_scratch_.empty()) {
-    return;
+    return earliest;
   }
   ++fold_tick_;
   folded_.clear();
@@ -548,6 +593,7 @@ void Scope::DrainIngestQueue(int64_t now_ms) {
   }
   // Release the block references promptly so their pools can recycle them.
   span_scratch_.clear();
+  return earliest;
 }
 
 void Scope::FoldBlockSummary(const IngestSpan& span) {

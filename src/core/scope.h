@@ -45,6 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -172,6 +173,23 @@ class Scope {
   bool StartPolling();
   void StopPolling();
   bool IsRunning() const { return poll_source_ != 0; }
+
+  // The drained start, for a scope that exists only to feed its buffered
+  // tap (the stream server's session and stage-group scopes, whose traces
+  // nothing reads): each tick hands every displayable sample to the tap,
+  // publishes the coalesce mirror and runs `after_drain`, but never samples
+  // signals or paints trace columns.  While an every-sample tap is attached,
+  // each drain also brings the timer forward to the instant the earliest
+  // queued sample becomes displayable (origin + stamp + delay), so a sample
+  // leaves at its deadline, never before it, instead of up to one period
+  // after it.  The polling period stays the longest gap between drains; a
+  // kCoalesced tap (or none) drains once per period.  A sample that reaches
+  // an idle scope less than one period before its deadline, or a span
+  // pushed from another loop after the last drain, is found at the next
+  // drain or period tick.  Starts the scope's clock if no time base was
+  // adopted.
+  using DrainFn = std::function<void()>;
+  bool StartDraining(DrainFn after_drain);
 
   int64_t polling_period_ms() const { return period_ms_; }
   // Adjusts the period while running (the sampling-period widget).
@@ -358,11 +376,17 @@ class Scope {
   };
 
   bool OnPollTick(const TimeoutTick& tick);
+  // The tick of a drained scope (StartDraining).
+  void OnDrainTick(const TimeoutTick& tick);
   void SamplePolling(int64_t now_ms, int64_t lost);
   bool SamplePlayback(int64_t lost);
   // Drains every displayable sample: display-only samples fold into their
   // holds once per tick (Fold), history samples route in queue order.
-  void DrainIngestQueue(int64_t now_ms);
+  // Returns the earliest stamp left queued (IngestSpanQueue::kNoStamp when
+  // none).
+  int64_t DrainIngestQueue(int64_t now_ms, int64_t delay_ms);
+  // Publishes the drain tallies for cross-loop STATS folds.
+  void PublishCoalesceMirror();
   // A whole router block feeds the fold from its live summary in O(live
   // routes), walking samples only for routes that need history.
   void FoldBlockSummary(const IngestSpan& span);
@@ -443,6 +467,8 @@ class Scope {
   AcquisitionMode mode_ = AcquisitionMode::kPolling;
   int64_t period_ms_ = 50;  // the paper's example default
   SourceId poll_source_ = 0;
+  // Set by StartDraining: the scope drains instead of sampling.
+  DrainFn after_drain_;
   // Read by producer-thread pushes through NowMs(); written on the loop
   // thread when polling starts.
   std::atomic<Nanos> start_ns_{0};

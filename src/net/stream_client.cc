@@ -77,12 +77,7 @@ void StreamClient::Close() {
   }
   DropStagedWire();
   if (state_ == ConnectState::kConnecting) {
-    // Frames queued behind an unresolved handshake never counted as sent;
-    // they resolve to dropped, and the Reset()-side abandonment is backed
-    // out so delivered == sent - evicted - abandoned keeps holding.
-    Tally discarded = DiscardPreconnectBacklog();
-    stats_.tuples_dropped += discarded.tuples;
-    frames_lost_ += discarded.frames;
+    AbandonHandshake();
   } else {
     writer_.Reset();
   }
@@ -93,15 +88,23 @@ void StreamClient::Close() {
   hello_rx_.Reset();
 }
 
-StreamClient::Tally StreamClient::DiscardPreconnectBacklog() {
-  const FramedWriter::Stats& w = writer_.stats();
-  const int64_t frames_before = w.frames_abandoned;
-  Tally discarded;
-  discarded.tuples = static_cast<int64_t>(writer_.Reset());
-  discarded.frames = w.frames_abandoned - frames_before;
-  preconnect_discards_.tuples += discarded.tuples;
-  preconnect_discards_.frames += discarded.frames;
-  return discarded;
+void StreamClient::AbandonHandshake() {
+  // Nothing committed behind the handshake left the process, so every such
+  // frame resolves to dropped.  The writer already counted some of them
+  // evicted (kDropOldest made room for newer ones) and abandons the rest
+  // here; both are backed out in stats() / frame_stats(), so each frame
+  // ends in exactly one outcome and delivered == sent - evicted - abandoned
+  // keeps holding.  The writer was empty when the handshake began.
+  stats_.tuples_dropped += preconnect_.tuples;
+  frames_lost_ += preconnect_.frames;
+  const int64_t frames_before = writer_.stats().frames_abandoned;
+  const int64_t abandoned_tuples = static_cast<int64_t>(writer_.Reset());
+  const int64_t abandoned_frames = writer_.stats().frames_abandoned - frames_before;
+  preconnect_discards_.tuples += abandoned_tuples;
+  preconnect_discards_.frames += abandoned_frames;
+  preconnect_evictions_.tuples += preconnect_.tuples - abandoned_tuples;
+  preconnect_evictions_.frames += preconnect_.frames - abandoned_frames;
+  preconnect_ = {};
 }
 
 bool StreamClient::OnConnectReady(IoCondition) {
@@ -115,10 +118,7 @@ bool StreamClient::OnConnectReady(IoCondition) {
 
 void StreamClient::ResolveConnect(int error) {
   if (error != 0) {
-    stats_.tuples_dropped += preconnect_.tuples;
-    frames_lost_ += preconnect_.frames;
-    preconnect_ = {};
-    DiscardPreconnectBacklog();
+    AbandonHandshake();
     socket_.Close();
     FailAttempt(error);
     if (on_connect_) {

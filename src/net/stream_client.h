@@ -14,8 +14,8 @@
 // SO_ERROR there, so a refused or failed connect is surfaced through
 // state()/last_error() and the optional connect callback instead of being
 // silently swallowed.  Tuples sent while the connect is in flight are
-// queued; they count as sent only once the connection is established (and as
-// dropped if it fails).
+// queued; they count as sent only once the connection is established, and
+// as dropped - even one kDropOldest evicted meanwhile - if it fails.
 //
 // It is also the transport under ControlClient, which adds a session on top:
 // the inbound bytes go to the session's demux instead of being discarded
@@ -226,11 +226,11 @@ class StreamClient {
     // many tuples each (they equal the frame counters for text).
     const FramedWriter::Stats& w = writer_.stats();
     stats_.bytes_sent = w.bytes_written;
-    stats_.tuples_evicted = w.units_evicted;
-    // Pre-connect frames discarded by a failed/aborted handshake are
-    // already in tuples_dropped; they never counted as sent, so they are
-    // backed out of the abandoned mapping.  (The discards are tallied in
-    // writer units, so weight-0 verb lines queued alongside never skew it.)
+    // Pre-connect frames of a failed/aborted handshake are already in
+    // tuples_dropped; they never counted as sent, so the writer's eviction
+    // or abandonment of them is backed out.  (Both are tallied in writer
+    // units, so weight-0 verb lines queued alongside never skew them.)
+    stats_.tuples_evicted = w.units_evicted - preconnect_evictions_.tuples;
     stats_.tuples_abandoned = w.units_abandoned - preconnect_discards_.tuples;
     stats_.bytes_dropped = w.bytes_dropped;
     stats_.block_time_ns = w.block_time_ns;
@@ -245,7 +245,7 @@ class StreamClient {
         // Verb lines commit with weight 0, so the writer's units are tuples.
         .tuples_committed = w.units_committed,
         .frames_dropped = w.frames_dropped + frames_lost_,
-        .frames_evicted = w.frames_evicted,
+        .frames_evicted = w.frames_evicted - preconnect_evictions_.frames,
         .frames_abandoned = w.frames_abandoned - preconnect_discards_.frames,
     };
   }
@@ -268,10 +268,9 @@ class StreamClient {
   bool OnConnectReady(IoCondition cond);
   void ResolveConnect(int error);
   bool OnSocketReadable(IoCondition cond);
-  // Empties the backlog of a handshake that never completed.  Those frames
-  // never counted as sent: they resolve to dropped, and the writer's
-  // abandonment of them is backed out in stats() / frame_stats().
-  Tally DiscardPreconnectBacklog();
+  // Ends a handshake that never completed (refused, or closed in flight):
+  // the frames queued behind it resolve to dropped and the backlog empties.
+  void AbandonHandshake();
   bool SendBinary(int64_t time_ms, double value, std::string_view name);
   // Seals the staged samples into one wire frame in the output backlog.
   bool FlushWire();
@@ -306,9 +305,11 @@ class StreamClient {
   // Commits made while state_ == kConnecting; folded into sent or dropped
   // when the handshake resolves.
   Tally preconnect_;
-  // What the writer counted abandoned that were pre-connect discards
-  // (already accounted as dropped); subtracted in stats() / frame_stats().
+  // What the writer counted abandoned or evicted that were frames of a
+  // failed handshake (already accounted as dropped); subtracted in stats()
+  // / frame_stats().
   Tally preconnect_discards_;
+  Tally preconnect_evictions_;
   int64_t frames_lost_ = 0;  // frame drops the writer never saw
   int64_t lines_sent_ = 0;
   ConnectFn on_connect_;

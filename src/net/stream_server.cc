@@ -30,9 +30,8 @@ std::string_view NextToken(std::string_view& s) {
   return token;
 }
 
-// Echo samples staged per binary session before sealing a wire frame.  Kept
-// well under a poll period's worth for typical rates so subscriber latency
-// stays bounded by the deferred flush (one loop iteration) either way.
+// Echo samples staged per binary session (or stage group) before a frame is
+// sealed mid-drain; whatever is staged is sealed at the drain's end anyway.
 constexpr size_t kEgressFrameSamples = 128;
 
 // Pacing granularity of a speed > 0 REPLAY (docs/protocol.md "Flight
@@ -325,7 +324,6 @@ void StreamServer::SetupClient(LoopShard& shard, Socket conn, bool counted) {
   client->socket = std::move(conn);
   client->last_activity_ns = shard.loop->clock()->NowNs();
   int key = next_client_key_.fetch_add(1, std::memory_order_relaxed);
-  client->key = key;
   int fd = client->socket.fd();
   LoopShard* sp = &shard;
   client->watch = shard.loop->AddIoWatch(
@@ -344,6 +342,9 @@ void StreamServer::SetupClient(LoopShard& shard, Socket conn, bool counted) {
   // destroyed server.
   client->writer.SetPolicy(options_.control_overflow_policy,
                            MillisToNanos(options_.control_block_deadline_ms));
+  // Writes leave when the server flushes: each reply at once, echo at the
+  // end of the drain that produced it (one write per session per drain).
+  client->writer.SetDeferredWrites(true);
   std::weak_ptr<StreamServer> weak_self = WeakSelf();
   client->writer.SetErrorCallback([sp, key, weak_self]() {
     sp->loop->Invoke([sp, key, weak_self]() {
@@ -669,7 +670,8 @@ void StreamServer::HandleControlLine(LoopShard& shard, int client_key, Client& c
     reply.append("OK DELAY ").append(arg);
   } else if (verb == "COALESCE" || verb == "RAW") {
     // COALESCE flips the session's own echo tap to the last-wins fold (one
-    // winner per signal per tick); RAW restores the per-sample contract.
+    // winner per signal per control_poll_period_ms); RAW restores the
+    // per-sample contract.
     // Either verb first detaches an attached stage.
     TapMode mode = verb == "COALESCE" ? TapMode::kCoalesced : TapMode::kEverySample;
     if (session.group != nullptr) {
@@ -677,7 +679,7 @@ void StreamServer::HandleControlLine(LoopShard& shard, int client_key, Client& c
     } else {
       // Tap swap under the route lock: rebuilds read the tap's history need.
       std::unique_lock<std::mutex> routes = router_.LockRoutes();
-      InstallEchoTap(shard, client_key, client, mode);
+      InstallEchoTap(client, mode);
     }
     reply.append("OK ").append(verb);
   } else if (stage_verb) {
@@ -949,7 +951,7 @@ void StreamServer::HandleReplay(LoopShard& shard, int client_key, Client& client
   if (speed <= 0.0 || job->records.empty()) {
     // Burst: the whole window leaves between the OK and the DONE marker.
     for (const ReplayRecord& r : job->records) {
-      EmitReplayTuple(client, job->names[r.name], r.time_ms, r.value);
+      EmitEcho(client, job->names[r.name], r.time_ms, r.value);
       job->emitted += 1;
     }
     std::string done;
@@ -985,7 +987,7 @@ bool StreamServer::ReplayTick(LoopShard& shard, int client_key) {
   while (job.next < job.records.size() &&
          job.records[job.next].time_ms <= virtual_now) {
     const ReplayRecord& r = job.records[job.next];
-    EmitReplayTuple(client, job.names[r.name], r.time_ms, r.value);
+    EmitEcho(client, job.names[r.name], r.time_ms, r.value);
     job.emitted += 1;
     job.next += 1;
   }
@@ -994,17 +996,15 @@ bool StreamServer::ReplayTick(LoopShard& shard, int client_key) {
     done.append("INFO REPLAY DONE ").append(std::to_string(job.emitted));
     job.timer = 0;
     client.session->replay.reset();  // before Reply: REPLAY re-arms allowed
-    Reply(client, done);
+    Reply(client, done);  // writes the tick's records ahead of the marker
     return false;
   }
+  WriteEcho(client);
   return true;
 }
 
-void StreamServer::EmitReplayTuple(Client& client, std::string_view stored_name,
-                                   int64_t time_ms, double value) {
-  // Mirrors the echo tap exactly: prefix strip, egress quota, then a text
-  // tuple line or a staged binary SAMPLES frame - a replayed sample is
-  // indistinguishable from a live one on the wire.
+void StreamServer::EmitEcho(Client& client, std::string_view stored_name,
+                            int64_t time_ms, double value) {
   std::string_view name = StripTenantPrefix(client.ns, stored_name);
   if (!client.binary_egress) {
     if (!EgressAllowed(client)) {
@@ -1037,9 +1037,12 @@ void StreamServer::EmitReplayTuple(Client& client, std::string_view stored_name,
   }
   if (client.egress_enc.staged_samples() >= kEgressFrameSamples) {
     FlushEgress(client);
-    return;
   }
-  ScheduleEgressFlush(client.key, client);
+}
+
+void StreamServer::WriteEcho(Client& client) {
+  FlushEgress(client);
+  client.writer.Flush();
 }
 
 void StreamServer::CancelReplay(LoopShard& shard, Client& client) {
@@ -1183,13 +1186,13 @@ StreamServer::ControlSession& StreamServer::EnsureSession(LoopShard& shard, int 
   if (options_.control_sndbuf_bytes > 0) {
     client.socket.SetSendBufferBytes(options_.control_sndbuf_bytes);
   }
+  // A drained scope never paints: one trace column per signal is all the
+  // storage it keeps.
   session->scope = std::make_unique<Scope>(
-      shard.loop, ScopeOptions{.name = "control-" + std::to_string(client_key),
-                               .width = options_.control_scope_width,
-                               .height = options_.control_scope_height});
+      shard.loop, ScopeOptions{.name = "control-" + std::to_string(client_key), .width = 1});
   Scope* scope = session->scope.get();
   // Sharded servers build route tables from any loop: the scope must gate
-  // its poll tick against them (no-op at loops = 1).
+  // its drain against them (no-op at loops = 1).
   scope->SetConcurrent(pool_.size() > 1);
   scope->SetPollingMode(options_.control_poll_period_ms);
   // Judge producer timestamps on the server's existing display axis: a
@@ -1211,9 +1214,12 @@ StreamServer::ControlSession& StreamServer::EnsureSession(LoopShard& shard, int 
   // keeps the session's slots on the history path.  A session pinned at its
   // egress cap for degrade_stalled_ms is downgraded to TapMode::kCoalesced
   // by Sweep() - the full last-wins fold for free - and restored once the
-  // backlog drains calm.
-  InstallEchoTap(shard, client_key, client, TapMode::kEverySample);
-  scope->StartPolling();
+  // backlog drains calm.  The scope drains at each echo deadline (at least
+  // once per control_poll_period_ms) and ends every drain with the
+  // session's one write.
+  InstallEchoTap(client, TapMode::kEverySample);
+  Client* cp = &client;
+  scope->StartDraining([this, cp]() { WriteEcho(*cp); });
   router_.AddScope(scope, &client.session->filter);
   shard.session_count.fetch_add(1, std::memory_order_relaxed);
   stats_.sessions_opened += 1;
@@ -1241,65 +1247,18 @@ void StreamServer::Reply(Client& client, std::string_view line) {
     stats_.echo_dropped += 1;
   }
   stats_.echo_evicted += client.writer.stats().units_evicted - evicted_before;
+  client.writer.Flush();
 }
 
-void StreamServer::InstallEchoTap(LoopShard& shard, int client_key, Client& client,
-                                  TapMode mode) {
-  (void)shard;
+void StreamServer::InstallEchoTap(Client& client, TapMode mode) {
   client.session->tap_mode = mode;
   // The Client object is stable (owned by unique_ptr in the shard map, and
   // the tap dies with the session scope before it does); the tap runs on
-  // the client's own loop at scope drain time.
+  // the client's own loop at scope drain time, and the drain's end writes.
   Client* cp = &client;
-  if (!client.binary_egress) {
-    client.session->scope->SetBufferedTap(
-        [this, cp](std::string_view name, int64_t time_ms, double value) {
-          name = StripTenantPrefix(cp->ns, name);
-          if (!EgressAllowed(*cp)) {
-            stats_.quota_drops += 1;
-            stats_.quota_drops_text += 1;
-            return;
-          }
-          FramedWriter* writer = &cp->writer;
-          int64_t evicted_before = writer->stats().units_evicted;
-          std::string& buf = writer->BeginFrame();
-          size_t begin = buf.size();
-          AppendTuple(buf, time_ms, value, name);
-          size_t frame_bytes = buf.size() - begin;
-          if (writer->CommitFrame()) {
-            stats_.tuples_echoed += 1;
-            ChargeEgress(*cp, frame_bytes);
-          } else {
-            stats_.echo_dropped += 1;
-          }
-          stats_.echo_evicted += writer->stats().units_evicted - evicted_before;
-        },
-        mode);
-    return;
-  }
-  // Binary session: samples stage into the connection's wire encoder and
-  // seal into multi-tuple frames - either when a frame's worth accumulates
-  // or on the deferred flush at the end of the loop iteration, so a trickle
-  // is never stranded.  The egress quota is applied at FlushEgress, per
-  // sealed frame at its actual wire size - not here per sample at a text
-  // estimate - so binary subscribers are charged what actually leaves.
   client.session->scope->SetBufferedTap(
-      [this, client_key, cp](std::string_view name, int64_t time_ms, double value) {
-        name = StripTenantPrefix(cp->ns, name);
-        wire::StageResult r = cp->egress_enc.Add(name, time_ms, value);
-        if (r == wire::StageResult::kFrameFull) {
-          FlushEgress(*cp);
-          r = cp->egress_enc.Add(name, time_ms, value);
-        }
-        if (r != wire::StageResult::kStaged) {
-          stats_.echo_dropped += 1;
-          return;
-        }
-        if (cp->egress_enc.staged_samples() >= kEgressFrameSamples) {
-          FlushEgress(*cp);
-          return;
-        }
-        ScheduleEgressFlush(client_key, *cp);
+      [this, cp](std::string_view name, int64_t time_ms, double value) {
+        EmitEcho(*cp, name, time_ms, value);
       },
       mode);
 }
@@ -1329,27 +1288,6 @@ void StreamServer::FlushEgress(Client& client) {
     stats_.echo_dropped += static_cast<int64_t>(n);
   }
   stats_.echo_evicted += client.writer.stats().units_evicted - evicted_before;
-}
-
-void StreamServer::ScheduleEgressFlush(int client_key, Client& client) {
-  if (client.egress_flush_pending) {
-    return;
-  }
-  client.egress_flush_pending = true;
-  std::weak_ptr<StreamServer> weak_self = WeakSelf();
-  LoopShard* shard = client.shard;
-  client.loop->Invoke([client_key, weak_self, shard]() {
-    std::shared_ptr<StreamServer> server = weak_self.lock();
-    if (server == nullptr) {
-      return;
-    }
-    auto it = shard->clients.find(client_key);
-    if (it == shard->clients.end()) {
-      return;
-    }
-    it->second->egress_flush_pending = false;
-    server->FlushEgress(*it->second);
-  });
 }
 
 void StreamServer::BindDict(Client& client, uint32_t id, std::string_view name) {
@@ -1538,16 +1476,13 @@ void StreamServer::AttachStage(LoopShard& shard, Client& client,
     g->key = key;
     g->ns = client.ns;
     g->spec = session.stage;
-    g->shard = &shard;
     for (const std::string& pattern : session.filter.patterns()) {
       g->filter.Add(pattern);
     }
     g->filter.SetNamespace(client.ns);
     int id = next_stage_id_.fetch_add(1, std::memory_order_relaxed);
     g->scope = std::make_unique<Scope>(
-        shard.loop, ScopeOptions{.name = "stage-" + std::to_string(id),
-                                 .width = options_.control_scope_width,
-                                 .height = options_.control_scope_height});
+        shard.loop, ScopeOptions{.name = "stage-" + std::to_string(id), .width = 1});
     Scope* scope = g->scope.get();
     scope->SetConcurrent(pool_.size() > 1);
     scope->SetPollingMode(options_.control_poll_period_ms);
@@ -1562,7 +1497,8 @@ void StreamServer::AttachStage(LoopShard& shard, Client& client,
           EvaluateStage(*g, name, time_ms, value);
         },
         TapMode::kEverySample);
-    scope->StartPolling();
+    // Each drain ends with the relay frame and the members' writes.
+    scope->StartDraining([this, g]() { EndGroupDrain(*g); });
     router_.AddScope(scope, &g->filter);
     stats_.stages_active += 1;
     it = shard.stage_groups.emplace(std::move(key), std::move(group)).first;
@@ -1584,7 +1520,7 @@ void StreamServer::DetachStage(LoopShard& shard, Client& client, TapMode mode) {
   client.session->stage = StageSpec{};
   // Restore the session's own scope: tap first (the scope is unregistered,
   // so no rebuild can read it mid-swap), then re-register.
-  InstallEchoTap(shard, client.key, client, mode);
+  InstallEchoTap(client, mode);
   router_.AddScope(client.session->scope.get(), &client.session->filter);
 }
 
@@ -1598,8 +1534,7 @@ void StreamServer::LeaveGroup(LoopShard& shard, Client& client) {
   if (!g->members.empty()) {
     return;
   }
-  // Last member out: the group dies (epoch bump: routes re-snapshot).  A
-  // queued deferred flush finds the key gone and no-ops.
+  // Last member out: the group dies (epoch bump: routes re-snapshot).
   router_.RemoveScope(g->scope.get());
   stats_.stages_active -= 1;
   shard.stage_groups.erase(g->key);
@@ -1737,8 +1672,6 @@ void StreamServer::EmitDerived(StageGroup& g, std::string_view name,
     }
     if (g.enc.staged_samples() >= kEgressFrameSamples) {
       FlushGroupEgress(g);
-    } else {
-      ScheduleGroupFlush(g);
     }
   }
 }
@@ -1774,26 +1707,11 @@ void StreamServer::FlushGroupEgress(StageGroup& g) {
   }
 }
 
-void StreamServer::ScheduleGroupFlush(StageGroup& g) {
-  if (g.flush_pending) {
-    return;
+void StreamServer::EndGroupDrain(StageGroup& g) {
+  FlushGroupEgress(g);
+  for (Client* member : g.members) {
+    member->writer.Flush();
   }
-  g.flush_pending = true;
-  std::weak_ptr<StreamServer> weak_self = WeakSelf();
-  LoopShard* shard = g.shard;
-  // Looked up by key at fire time: the group may have died in between.
-  shard->loop->Invoke([weak_self, shard, key = g.key]() {
-    std::shared_ptr<StreamServer> server = weak_self.lock();
-    if (server == nullptr) {
-      return;
-    }
-    auto it = shard->stage_groups.find(key);
-    if (it == shard->stage_groups.end()) {
-      return;
-    }
-    it->second->flush_pending = false;
-    server->FlushGroupEgress(*it->second);
-  });
 }
 
 bool StreamServer::Sweep(LoopShard& shard) {
@@ -1853,7 +1771,7 @@ bool StreamServer::Sweep(LoopShard& shard) {
           // under the route lock: rebuilds read the tap's history need.
           {
             std::unique_lock<std::mutex> routes = router_.LockRoutes();
-            InstallEchoTap(shard, key, *client, TapMode::kCoalesced);
+            InstallEchoTap(*client, TapMode::kCoalesced);
           }
           stats_.taps_downgraded += 1;
           Reply(*client, "NOTICE DEGRADE coalesced");
@@ -1868,7 +1786,7 @@ bool StreamServer::Sweep(LoopShard& shard) {
         } else if (now - s->calm_since_ns >= window) {
           {
             std::unique_lock<std::mutex> routes = router_.LockRoutes();
-            InstallEchoTap(shard, key, *client, TapMode::kEverySample);
+            InstallEchoTap(*client, TapMode::kEverySample);
           }
           stats_.taps_restored += 1;
           Reply(*client, "NOTICE RESTORE every-sample");

@@ -13,7 +13,9 @@
 // buffers (which apply the delay/late-drop policy).  The router hands each
 // flush to every scope on the loop thread that read it, so a loops = 1
 // server without RECORD runs no thread of its own.  Every accepted
-// connection has Nagle off, so echo and replies leave at the session tick.
+// connection has Nagle off, and the server writes each reply at once and
+// each session's echo at the end of the drain that produced it, so echo
+// leaves at its display deadline (control_poll_period_ms).
 //
 // Sharded accept (options.loops > 1): accepted connections spread across N
 // per-core event loops (runtime/loop_pool.h).  Each loop owns its clients
@@ -154,13 +156,13 @@ struct StreamServerOptions {
   // on producers quickly (stress harnesses) instead of hiding behind kernel
   // buffering.
   int client_rcvbuf_bytes = 0;
-  // Polling period of the per-session scopes: the granularity at which
-  // matched tuples are drained and echoed to subscribers.
+  // The longest a session (or stage group) goes between drains, and the
+  // cadence of coalesced sessions.  An every-sample session drains at each
+  // echo's display deadline (Scope::StartDraining), so a tuple leaves at its
+  // deadline; the period bounds only what a drain cannot see coming - a
+  // span pushed from another loop, or a sample reaching an idle session
+  // less than one period before its deadline - to one period late.
   int64_t control_poll_period_ms = 10;
-  // Geometry of the per-session scopes (they render like any other scope
-  // should the operator want a server-side view of a session).
-  int control_scope_width = 128;
-  int control_scope_height = 64;
   // Liveness: drop a client that has sent nothing (tuples, verbs or PINGs)
   // for this long.  0 = never; the pre-robustness behaviour.  Clients that
   // enable their own ping_interval_ms stay alive through idle periods.
@@ -371,7 +373,6 @@ class StreamServer {
     Client(MainLoop* loop, size_t max_line_bytes, size_t max_buffer)
         : framer(max_line_bytes), writer(loop, max_buffer) {}
     LoopShard* shard = nullptr;   // owning shard (stable; see shards_)
-    int key = 0;                  // this client's key in shard->clients
     MainLoop* loop = nullptr;     // == shard->loop; every callback runs here
     Socket socket;
     SourceId watch = 0;
@@ -395,7 +396,6 @@ class StreamServer {
     std::vector<DictEntry> dict;  // by id - 1 (per-connection namespace)
     bool binary_egress = false;   // replies/echo leave as binary frames
     wire::WireEncoder egress_enc; // staged echo samples (binary sessions)
-    bool egress_flush_pending = false;  // a deferred FlushEgress is queued
     std::string egress_scratch;   // one sealed egress frame (quota-gated whole)
   };
 
@@ -412,7 +412,6 @@ class StreamServer {
     StageSpec spec;
     SignalFilter filter;          // copy of the members' pattern set
     std::unique_ptr<Scope> scope; // router-registered evaluation tap
-    LoopShard* shard = nullptr;
     std::vector<Client*> members; // stable Client pointers (see clients map)
     // Per-signal stage state, keyed by the bare (prefix-stripped) name.
     struct SignalState {
@@ -433,7 +432,6 @@ class StreamServer {
     // frame broadcast byte-identical to every binary member (per-frame
     // dictionaries make frames self-contained).
     wire::WireEncoder enc;
-    bool flush_pending = false;     // a deferred FlushGroupEgress is queued
     std::string text_scratch;       // one formatted tuple line
     std::string frame_scratch;      // one sealed SAMPLES frame
   };
@@ -489,13 +487,24 @@ class StreamServer {
   void IngestRecords(Client& client, int64_t base_time_ms, const char* records, size_t n);
   // Seals the staged echo samples of a binary session into one wire frame.
   void FlushEgress(Client& client);
-  void ScheduleEgressFlush(int client_key, Client& client);
+  // The one echo emitter: the session's echo tap and REPLAY both call it.
+  // Strips the tenant prefix, applies the egress quota (a text line is
+  // gated here; a binary frame when FlushEgress seals it) and appends a
+  // tuple line or stages a binary sample - a replayed sample is
+  // indistinguishable from a live one on the wire.  Writing belongs to the
+  // caller: the end of a drain, a burst REPLAY's DONE reply, or a paced
+  // ReplayTick.
+  void EmitEcho(Client& client, std::string_view stored_name, int64_t time_ms,
+                double value);
+  // Seals staged binary echo, then writes the session's backlog once: the
+  // end of each session drain and of each paced ReplayTick.
+  void WriteEcho(Client& client);
   // Folds a decoder's counters into stats_ (frames_rx / frames_crc_errors).
   void FoldDecoderStats(wire::FrameDecoder& decoder);
   // (Re)installs the session scope's echo tap in `mode`; records the mode.
   // For a registered scope, call under router_.LockRoutes() when loops > 1
   // (a table rebuild reads the tap's history requirement).
-  void InstallEchoTap(LoopShard& shard, int client_key, Client& client, TapMode mode);
+  void InstallEchoTap(Client& client, TapMode mode);
   // Derived-signal pipelines (docs/protocol.md "Derived-signal pipelines").
   // ParseStageSpec fills `spec` from a stage verb + argument tokens; on
   // failure returns false and fills `err` with the ERR reply body.
@@ -528,20 +537,18 @@ class StreamServer {
   // Seals the group's staged samples into one frame and broadcasts the
   // identical bytes to every binary member (per-member quota gated).
   void FlushGroupEgress(StageGroup& group);
-  void ScheduleGroupFlush(StageGroup& group);
+  // A stage group's end of drain: the relay frame, then one write per
+  // member.
+  void EndGroupDrain(StageGroup& group);
   // Flight recorder (docs/protocol.md "Flight recorder").  HandleRecord
   // resolves RECORD <path> / RECORD OFF into `reply`; HandleReplay sends its
   // own replies (OK + the window + INFO REPLAY DONE, or an ERR).
   void HandleRecord(std::string_view arg, std::string& reply);
   void HandleReplay(LoopShard& shard, int client_key, Client& client,
                     int64_t t0, int64_t t1, double speed);
-  // Paced-replay timer body: emits records due at the current virtual time;
-  // false (removing the timer) after the DONE marker.
+  // Paced-replay timer body: emits and writes the records due at the
+  // current virtual time; false (removing the timer) after the DONE marker.
   bool ReplayTick(LoopShard& shard, int client_key);
-  // Re-serializes one recorded sample down the session, exactly like the
-  // echo tap (prefix strip, egress quota, text line or staged binary frame).
-  void EmitReplayTuple(Client& client, std::string_view stored_name,
-                       int64_t time_ms, double value);
   void CancelReplay(LoopShard& shard, Client& client);
   // Folds the live recorder's counters into record_retired_ before it is
   // destroyed (record_mu_ held), so STATS stays monotone across RECORD OFF.

@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,18 +13,6 @@ namespace gscope {
 namespace {
 
 constexpr Nanos kNoDeadline = std::numeric_limits<Nanos>::max();
-
-// poll(2) takes milliseconds; round up so we never spin before a deadline.
-int NanosToPollTimeout(Nanos ns) {
-  if (ns <= 0) {
-    return 0;
-  }
-  Nanos ms = (ns + kNanosPerMilli - 1) / kNanosPerMilli;
-  if (ms > std::numeric_limits<int>::max()) {
-    return std::numeric_limits<int>::max();
-  }
-  return static_cast<int>(ms);
-}
 
 short CondToPollEvents(IoCondition cond) {
   short events = 0;
@@ -179,6 +168,17 @@ bool MainLoop::SetTimeoutPeriodNs(SourceId id, Nanos period_ns) {
   return true;
 }
 
+bool MainLoop::MoveTimeoutEarlier(SourceId id, Nanos deadline_ns) {
+  auto it = timeouts_.find(id);
+  if (it == timeouts_.end() || it->second->removed || deadline_ns >= it->second->deadline_ns) {
+    return false;
+  }
+  it->second->deadline_ns = deadline_ns;
+  timer_heap_.push_back({deadline_ns, id});
+  std::push_heap(timer_heap_.begin(), timer_heap_.end(), TimerHeapLater{});
+  return true;
+}
+
 const TimerStats* MainLoop::StatsFor(SourceId id) const {
   auto it = timeouts_.find(id);
   if (it == timeouts_.end()) {
@@ -327,27 +327,28 @@ bool MainLoop::DrainInvokeQueue() {
 }
 
 int MainLoop::PollFds(Nanos timeout_ns) {
-  std::vector<pollfd> pfds;
-  std::vector<SourceId> ids;
-  pfds.reserve(io_watches_.size() + 1);
+  pollfds_.clear();
+  poll_ids_.clear();
   for (const auto& [id, src] : io_watches_) {
     if (src->removed) {
       continue;
     }
-    pfds.push_back(pollfd{src->fd, CondToPollEvents(src->cond), 0});
-    ids.push_back(id);
+    pollfds_.push_back(pollfd{src->fd, CondToPollEvents(src->cond), 0});
+    poll_ids_.push_back(id);
   }
-  size_t wake_index = pfds.size();
+  size_t wake_index = pollfds_.size();
   if (wake_pipe_[0] >= 0) {
-    pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
+    pollfds_.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
   }
 
-  int n = poll(pfds.data(), pfds.size(), NanosToPollTimeout(timeout_ns));
+  timespec timeout{static_cast<time_t>(timeout_ns / kNanosPerSecond),
+                   static_cast<long>(timeout_ns % kNanosPerSecond)};
+  int n = ppoll(pollfds_.data(), pollfds_.size(), &timeout, nullptr);
   if (n <= 0) {
     return 0;
   }
 
-  if (wake_pipe_[0] >= 0 && (pfds[wake_index].revents & POLLIN)) {
+  if (wake_pipe_[0] >= 0 && (pollfds_[wake_index].revents & POLLIN)) {
     char buf[64];
     while (read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
     }
@@ -355,19 +356,20 @@ int MainLoop::PollFds(Nanos timeout_ns) {
 
   int dispatched = 0;
   dispatching_ = true;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (pfds[i].revents == 0) {
+  for (size_t i = 0; i < poll_ids_.size(); ++i) {
+    const pollfd& pfd = pollfds_[i];
+    if (pfd.revents == 0) {
       continue;
     }
-    auto it = io_watches_.find(ids[i]);
+    auto it = io_watches_.find(poll_ids_[i]);
     if (it == io_watches_.end() || it->second->removed) {
       continue;
     }
-    bool keep = it->second->fn(pfds[i].fd, PollEventsToCond(pfds[i].revents));
+    bool keep = it->second->fn(pfd.fd, PollEventsToCond(pfd.revents));
     ++dispatched;
     if (!keep && !it->second->removed) {
       it->second->removed = true;
-      pending_removals_.push_back(ids[i]);
+      pending_removals_.push_back(poll_ids_[i]);
     }
   }
   dispatching_ = false;

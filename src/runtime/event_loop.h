@@ -8,16 +8,20 @@
 //
 //   * timeout sources with per-source lost-timeout accounting (Section 4.5),
 //   * idle sources,
-//   * fd watches over poll(2)  (GIOChannel / g_io_add_watch analogue),
+//   * fd watches over ppoll(2)  (GIOChannel / g_io_add_watch analogue),
 //   * a thread-safe Invoke() for cross-thread calls (the "acquire the global
 //     GTK lock" discipline of Section 4.3 becomes "post a closure"),
 //   * Run()/Quit()/Iterate() in the gtk_main() style.
 //
-// The loop is driven by a Clock.  With a SteadyClock it blocks in poll(2)
-// until the next deadline; with a SimClock it advances virtual time to the
-// next deadline, which makes scope behaviour fully deterministic in tests.
+// The loop is driven by a Clock.  With a SteadyClock it blocks in ppoll(2)
+// until the next deadline, to the nanosecond (poll(2)'s whole milliseconds
+// would round every short wait up by as much as 1 ms); with a SimClock it
+// advances virtual time to the next deadline, which makes scope behaviour
+// fully deterministic in tests.
 #ifndef GSCOPE_RUNTIME_EVENT_LOOP_H_
 #define GSCOPE_RUNTIME_EVENT_LOOP_H_
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
@@ -102,6 +106,14 @@ class MainLoop {
   // next deadline is rescheduled to now + new period.  This is the sampling
   // period widget of Figure 1.  Returns false for unknown/non-timeout ids.
   bool SetTimeoutPeriodNs(SourceId id, Nanos period_ns);
+
+  // Moves a timeout's next deadline earlier, to the absolute loop-clock
+  // instant `deadline_ns`; the period stays, so after firing there the
+  // source next fires at deadline_ns + period, and lost ticks still count
+  // missed periods (Section 4.5), not missed early deadlines.  Returns false
+  // for unknown/non-timeout ids and for an instant not earlier than the
+  // current deadline.  Loop thread only (a callback may move itself).
+  bool MoveTimeoutEarlier(SourceId id, Nanos deadline_ns);
 
   // Per-source accounting (lost timeouts, dispatch latency).  Null if gone.
   const TimerStats* StatsFor(SourceId id) const;
@@ -192,6 +204,11 @@ class MainLoop {
   size_t live_timeouts_ = 0;
   std::vector<SourceId> due_scratch_;
 
+  // PollFds' reused ppoll(2) set: one pollfd per live watch, the matching
+  // source ids, then the wake pipe.
+  std::vector<pollfd> pollfds_;
+  std::vector<SourceId> poll_ids_;
+
   // Ids removed while dispatching; applied after the dispatch pass.
   std::vector<SourceId> pending_removals_;
   bool dispatching_ = false;
@@ -202,7 +219,7 @@ class MainLoop {
   // Loop-thread only; runs first in every Iterate().
   std::function<void()> pre_iterate_hook_;
 
-  // Self-pipe used to interrupt poll(2) from Invoke().
+  // Self-pipe used to interrupt ppoll(2) from Invoke().
   int wake_pipe_[2] = {-1, -1};
 };
 

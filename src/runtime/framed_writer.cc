@@ -120,10 +120,26 @@ bool FramedWriter::CommitFrame(uint32_t weight) {
   stats_.frames_committed += 1;
   stats_.units_committed += weight;
   stats_.high_water_bytes = std::max(stats_.high_water_bytes, pending_bytes());
-  if (fd_ >= 0) {
+  if (fd_ >= 0 && !deferred_) {
     EnsureWatch();
   }
   return true;
+}
+
+void FramedWriter::Flush() {
+  if (fd_ < 0 || watch_ != 0 || offset_ >= committed_end()) {
+    return;
+  }
+  DrainStatus status = Drain(committed_end());
+  PruneSentFrames();
+  if (status == DrainStatus::kDrained) {
+    ClearSent();
+    return;
+  }
+  // kBlocked: the watch writes the rest as the kernel makes room.  kError:
+  // the watch's next run fails the same write and surfaces the error.
+  CompactConsumedPrefix();
+  EnsureWatch();
 }
 
 void FramedWriter::RollbackFrame() {
@@ -314,13 +330,17 @@ bool FramedWriter::OnWritable() {
     return false;
   }
   // Fully drained: compact and drop the watch until more data is committed.
+  ClearSent();
+  watch_ = 0;
+  return false;
+}
+
+void FramedWriter::ClearSent() {
   buffer_.clear();
   offset_ = 0;
   frame_start_ = 0;
   frame_starts_.clear();
   head_partial_ = false;
-  watch_ = 0;
-  return false;
 }
 
 }  // namespace gscope

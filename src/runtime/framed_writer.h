@@ -34,6 +34,13 @@
 // it: pre-connect sends queue) and survives Detach(fd-only) via Reset().
 // Single-threaded: all calls on the loop thread.  kBlockWithDeadline blocks
 // that thread for up to the deadline per overflowing commit.
+//
+// Write timing: by default every commit arms the writability watch, and the
+// loop's next poll writes the backlog.  With deferred writes
+// (SetDeferredWrites) commits only queue, and the owner writes them itself
+// with Flush() - the stream server flushes each session once at the end of
+// a drain, so the drain's echo leaves in one write with no extra loop
+// iteration, and the watch is armed only for what the kernel did not take.
 #ifndef GSCOPE_RUNTIME_FRAMED_WRITER_H_
 #define GSCOPE_RUNTIME_FRAMED_WRITER_H_
 
@@ -115,6 +122,18 @@ class FramedWriter {
 
   void SetErrorCallback(ErrorFn fn) { on_error_ = std::move(fn); }
 
+  // Deferred writes (header comment): on, CommitFrame no longer arms the
+  // writability watch and the owner calls Flush().  Off by default.
+  void SetDeferredWrites(bool on) { deferred_ = on; }
+
+  // Writes the committed backlog now, as far as the kernel takes it, and
+  // arms the writability watch for the rest.  A hard write error is left to
+  // that watch, which surfaces it through the error callback on its own
+  // loop iteration: the owner is never torn down inside its own Flush.
+  // No-op while detached, while the watch already owns the backlog, or with
+  // nothing committed.  Call between frames.
+  void Flush();
+
   // Opens a frame and returns the buffer to append its bytes to.  Only the
   // tail past the returned buffer's current size belongs to the new frame.
   std::string& BeginFrame();
@@ -153,6 +172,8 @@ class FramedWriter {
   void PruneSentFrames();
   // Erases the consumed [0, offset_) prefix once it dominates the buffer.
   void CompactConsumedPrefix();
+  // Empties the buffer once every committed byte was sent.
+  void ClearSent();
   // kDropOldest: evicts wholly-unsent frames, oldest first, until the
   // backlog (including the still-open frame) fits under the cap or nothing
   // evictable remains.
@@ -171,6 +192,7 @@ class FramedWriter {
   size_t offset_ = 0;       // bytes already handed to the kernel
   size_t frame_start_ = 0;  // BeginFrame position; npos-like 0 when closed
   bool frame_open_ = false;
+  bool deferred_ = false;   // SetDeferredWrites
   // Committed frames not yet fully sent, oldest first: start offset into
   // buffer_ plus the commit weight (tuple count).  Frame i ends where frame
   // i+1 starts; the last committed frame ends at committed_end().  This is

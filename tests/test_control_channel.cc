@@ -72,6 +72,55 @@ class ControlChannelTest : public ::testing::Test {
     }
   };
 
+  // Sends twenty tuples 10 ms apart to a DELAY 300 session of a server
+  // whose sessions drain at least every 200 ms (control_poll_period_ms),
+  // and appends to `lags` how long after its display deadline each echo
+  // reached the viewer, in ms of the display axis.  With loops > 1 the
+  // viewer lands on loop 0 and the producer on loop 1, so every span
+  // reaches the session from another loop.
+  void EchoLagsPastDeadline(size_t loops, std::vector<int64_t>* lags) {
+    constexpr int kTuples = 20;
+    constexpr int64_t kDelayMs = 300;
+    scope_.SetConcurrent(loops > 1);
+    StreamServerOptions opts;
+    opts.loops = loops;
+    opts.reuse_port = false;  // one acceptor: connection order picks the loop
+    opts.control_poll_period_ms = 200;
+    StreamServer server(&loop_, &scope_, opts);
+    ASSERT_TRUE(server.Listen(0));
+    scope_.StartPolling();
+
+    ControlClient viewer(&loop_);
+    std::vector<std::pair<double, int64_t>> got;  // (value, receipt ms)
+    viewer.SetTupleCallback(
+        [&](const TupleView& t) { got.emplace_back(t.value, scope_.NowMs()); });
+    ASSERT_TRUE(viewer.Connect(server.port()));
+    ASSERT_TRUE(RunUntil([&]() { return viewer.connected() && server.client_count() == 1; }));
+    viewer.Subscribe("dl_*");
+    viewer.SetDelay(kDelayMs);
+    ASSERT_TRUE(RunUntil([&]() { return viewer.stats().replies_ok >= 2; }));
+
+    StreamClient producer(&loop_);
+    ASSERT_TRUE(producer.Connect(server.port()));
+    ASSERT_TRUE(RunUntil([&]() { return producer.connected() && server.client_count() == 2; }));
+    if (loops > 1) {
+      ASSERT_EQ(server.shard_client_count(0), 1u);
+      ASSERT_EQ(server.shard_client_count(1), 1u);
+    }
+    std::vector<int64_t> stamps;
+    for (int i = 0; i < kTuples; ++i) {
+      stamps.push_back(scope_.NowMs());
+      producer.Send(stamps.back(), static_cast<double>(i), "dl_sig");
+      loop_.RunForMs(10);
+    }
+    ASSERT_TRUE(RunUntil([&]() { return got.size() >= kTuples; }, 5000));
+    ASSERT_EQ(got.size(), static_cast<size_t>(kTuples));
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, static_cast<double>(i));
+      lags->push_back(got[i].second - (stamps[i] + kDelayMs));
+    }
+  }
+
   MainLoop loop_;  // real clock: sockets need real readiness
   Scope scope_;
 };
@@ -684,6 +733,104 @@ TEST_F(ControlChannelTest, RefusedConnectResolvesQueuedFramesToDropped) {
   // Further sends fail immediately, one dropped frame each.
   EXPECT_FALSE(viewer.Send(2, 2.0, "x"));
   EXPECT_EQ(viewer.stats().frames_dropped, 3);
+}
+
+TEST_F(ControlChannelTest, RefusedConnectDropsPreconnectEvictionsOnce) {
+  // Ten tuples queued behind a refused handshake under kDropOldest with a
+  // 64-byte cap: the older ones are evicted to make room, yet none ever
+  // left the process.  Each ends in exactly one outcome - dropped, never
+  // also evicted.
+  uint16_t dead_port = 0;
+  { Socket probe = Socket::Listen(0, &dead_port); }
+
+  ControlClientOptions opts;
+  opts.max_buffer = 64;
+  opts.overflow_policy = OverflowPolicy::kDropOldest;
+  ControlClient viewer(&loop_, opts);
+  bool resolved = false;
+  viewer.SetConnectCallback([&](bool, int) { resolved = true; });
+  if (!viewer.Connect(dead_port)) {
+    // The kernel refused synchronously: still surfaced, never "connected".
+    EXPECT_EQ(viewer.state(), ConnectState::kFailed);
+    EXPECT_FALSE(viewer.connected());
+    return;
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(viewer.Send(i, static_cast<double>(i), "preconnect_sig"));
+  }
+  EXPECT_GT(viewer.stats().frames_evicted, 0);  // the cap did evict
+
+  ASSERT_TRUE(RunUntil([&]() { return resolved; }));
+  EXPECT_EQ(viewer.state(), ConnectState::kFailed);
+  const ControlClient::Stats& s = viewer.stats();
+  EXPECT_EQ(s.tuples_pushed, 10);
+  EXPECT_EQ(s.frames_dropped, 10);  // sent none, dropped all ten
+  EXPECT_EQ(s.frames_evicted, 0);
+  EXPECT_EQ(s.frames_abandoned, 0);
+}
+
+TEST_F(ControlChannelTest, EchoLeavesAtTheDisplayDeadlineNotTheNextPeriodTick) {
+  // A drain brings the session's next drain forward to the earliest queued
+  // deadline, so each echo leaves at its deadline.  Were drains only on
+  // period ticks, a tuple displayable just past one would wait up to the
+  // whole 200 ms period for the next.
+  std::vector<int64_t> lags;
+  ASSERT_NO_FATAL_FAILURE(EchoLagsPastDeadline(1, &lags));
+  for (size_t i = 0; i < lags.size(); ++i) {
+    EXPECT_GE(lags[i], 0) << "tuple " << i << " echoed before its deadline";
+    EXPECT_LE(lags[i], 100) << "tuple " << i;
+  }
+}
+
+TEST_F(ControlChannelTest, CrossLoopEchoLeavesAtTheDisplayDeadline) {
+  // The TSan target: the producer's loop pushes every span into a session
+  // scope drained on another loop; the first is found by a period tick, and
+  // each drain brings the next one forward as at loops = 1.
+  std::vector<int64_t> lags;
+  ASSERT_NO_FATAL_FAILURE(EchoLagsPastDeadline(4, &lags));
+  for (size_t i = 0; i < lags.size(); ++i) {
+    EXPECT_GE(lags[i], 0) << "tuple " << i << " echoed before its deadline";
+    EXPECT_LE(lags[i], 100) << "tuple " << i;
+  }
+}
+
+TEST_F(ControlChannelTest, CoalescedSessionKeepsOneEchoPerSignalPerPeriod) {
+  // A coalesced tap is never brought forward: the session drains on its
+  // 200 ms period ticks only, one winner per signal each.
+  StreamServerOptions opts;
+  opts.control_poll_period_ms = 200;
+  StreamServer server(&loop_, &scope_, opts);
+  ASSERT_TRUE(server.Listen(0));
+  scope_.StartPolling();
+
+  ControlClient viewer(&loop_);
+  Sink sink;
+  sink.Wire(viewer);
+  ASSERT_TRUE(viewer.Connect(server.port()));
+  ASSERT_TRUE(RunUntil([&]() { return viewer.connected(); }));
+  viewer.Subscribe("co_*");
+  viewer.SetDelay(300);
+  viewer.Stage("COALESCE");
+  ASSERT_TRUE(RunUntil([&]() { return viewer.stats().replies_ok >= 3; }));
+
+  StreamClient producer(&loop_);
+  ASSERT_TRUE(producer.Connect(server.port()));
+  ASSERT_TRUE(RunUntil([&]() { return producer.connected(); }));
+  constexpr int kTuples = 40;
+  const int64_t first_stamp = scope_.NowMs();
+  int64_t last_stamp = first_stamp;
+  for (int i = 0; i < kTuples; ++i) {
+    last_stamp = scope_.NowMs();
+    producer.Send(last_stamp, static_cast<double>(i), "co_sig");
+    loop_.RunForMs(10);
+  }
+  ASSERT_TRUE(RunUntil([&]() { return sink.SawValue(kTuples - 1); }, 3000));
+  // The tuples become displayable over last - first ms; the period ticks
+  // that echo them fall in that span plus one period: at most
+  // span / 200 + 2 of them.  A tap brought forward would echo nearly every
+  // tuple at its own deadline.
+  EXPECT_LE(static_cast<int64_t>(sink.tuples.size()), (last_stamp - first_stamp) / 200 + 2);
+  EXPECT_EQ(sink.tuples.back().second, static_cast<double>(kTuples - 1));
 }
 
 TEST_F(ControlChannelTest, StatsVerbReturnsCounterLine) {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <thread>
+#include <vector>
 
 #include "runtime/clock.h"
 
@@ -144,6 +145,60 @@ TEST(EventLoopTest, SetTimeoutPeriodPreservesStats) {
   EXPECT_TRUE(loop.SetTimeoutPeriodNs(id, MillisToNanos(20)));
   loop.RunForMs(40);
   EXPECT_GE(loop.StatsFor(id)->fired, fired_before + 1);
+}
+
+TEST(EventLoopTest, MoveTimeoutEarlierFiresThereThenKeepsPeriod) {
+  // A drained scope's deadline wake: the periodic source is brought forward
+  // to an absolute instant, fires there, and keeps its period from there.
+  SimClock clock;
+  MainLoop loop(&clock);
+  std::vector<Nanos> fired_at;
+  int64_t lost = 0;
+  SourceId id = loop.AddTimeoutMs(10, [&](const TimeoutTick& tick) {
+    fired_at.push_back(tick.actual_ns);
+    lost += tick.lost;
+    return true;
+  });
+  loop.Iterate(true);  // fast-forwards to the first deadline, 10 ms
+  ASSERT_EQ(fired_at.size(), 1u);
+  // The next deadline is 20 ms: moving it later, or to itself, is refused,
+  // as is an unknown id.
+  EXPECT_FALSE(loop.MoveTimeoutEarlier(id, MillisToNanos(25)));
+  EXPECT_FALSE(loop.MoveTimeoutEarlier(id, MillisToNanos(20)));
+  EXPECT_FALSE(loop.MoveTimeoutEarlier(9999, MillisToNanos(13)));
+  EXPECT_TRUE(loop.MoveTimeoutEarlier(id, MillisToNanos(13)));
+  for (int i = 0; i < 3; ++i) {
+    loop.Iterate(true);
+  }
+  EXPECT_EQ(fired_at, (std::vector<Nanos>{MillisToNanos(10), MillisToNanos(13),
+                                          MillisToNanos(23), MillisToNanos(33)}));
+  // Moving a deadline earlier is not a missed period: no lost ticks, and
+  // every dispatch ran on time.
+  EXPECT_EQ(lost, 0);
+  const TimerStats* stats = loop.StatsFor(id);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->fired, 4);
+  EXPECT_EQ(stats->lost, 0);
+  EXPECT_EQ(stats->max_latency_ns, 0);
+}
+
+TEST(EventLoopTest, MovedTimeoutStillCountsMissedPeriods) {
+  // A stall after the move is lost-tick accounting as usual (Section 4.5):
+  // whole periods past the moved deadline.
+  SimClock clock;
+  MainLoop loop(&clock);
+  std::vector<int64_t> losses;
+  SourceId id = loop.AddTimeoutMs(10, [&](const TimeoutTick& tick) {
+    losses.push_back(tick.lost);
+    return true;
+  });
+  EXPECT_TRUE(loop.MoveTimeoutEarlier(id, MillisToNanos(4)));
+  clock.AdvanceMs(36);  // moved deadline 4, now 36: periods at 14, 24, 34 missed
+  loop.Iterate(false);
+  clock.AdvanceMs(8);   // next deadline 44: on time
+  loop.Iterate(false);
+  EXPECT_EQ(losses, (std::vector<int64_t>{3, 0}));
+  EXPECT_EQ(loop.StatsFor(id)->lost, 3);
 }
 
 TEST(EventLoopTest, SetTimeoutPeriodRejectsBadArgs) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -217,6 +218,65 @@ TEST_F(FramedWriterTest, BlockWithoutFdDegradesToDropNewest) {
   EXPECT_FALSE(CommitFilled(writer, 40, 'b'));  // nothing to wait on
   EXPECT_LT(SteadyClock::Instance()->NowNs() - before, MillisToNanos(100));
   EXPECT_EQ(writer.stats().frames_dropped, 1);
+}
+
+TEST_F(FramedWriterTest, DeferredWritesLeaveOnFlushAndWatchOnlyTheRest) {
+  // The stream server's session writer: commits only queue, Flush writes
+  // them in one go, and the writability watch is armed only for what the
+  // kernel did not take.
+  MainLoop loop;
+  MakePipe(4096);
+  FramedWriter writer(&loop, /*max_buffer=*/1 << 20);
+  writer.SetDeferredWrites(true);
+  writer.Attach(wfd_);
+  const size_t idle_sources = loop.source_count();
+  EXPECT_TRUE(CommitFilled(writer, 100, 'a'));
+  EXPECT_TRUE(CommitFilled(writer, 100, 'b'));
+  EXPECT_EQ(loop.source_count(), idle_sources);  // no watch armed
+  EXPECT_EQ(writer.pending_bytes(), 200u);
+  writer.Flush();
+  EXPECT_EQ(writer.pending_bytes(), 0u);
+  EXPECT_EQ(writer.stats().bytes_written, 200);
+  EXPECT_EQ(loop.source_count(), idle_sources);
+  char buf[8192];
+  EXPECT_EQ(read(rfd_, buf, sizeof(buf)), 200);
+
+  // More than the pipe holds: Flush writes what fits and the watch drains
+  // the rest as the reader makes room.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(CommitFilled(writer, 1000, static_cast<char>('c' + i)));
+  }
+  writer.Flush();
+  EXPECT_EQ(writer.stats().bytes_written, 200 + 4096);
+  EXPECT_EQ(loop.source_count(), idle_sources + 1);
+  std::string received = DrainAll(loop, writer);
+  EXPECT_EQ(received.size(), 10000u);
+  EXPECT_EQ(writer.pending_bytes(), 0u);
+  EXPECT_EQ(loop.source_count(), idle_sources);
+}
+
+TEST_F(FramedWriterTest, DeferredFlushLeavesAWriteErrorToTheWatch) {
+  // A hard write error inside Flush does not run the error callback there:
+  // the watch's own loop iteration surfaces it.
+  MainLoop loop;
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0, fds), 0);
+  rfd_ = fds[0];
+  wfd_ = fds[1];
+  FramedWriter writer(&loop, /*max_buffer=*/1 << 20);
+  writer.SetDeferredWrites(true);
+  writer.Attach(wfd_);
+  int errors = 0;
+  writer.SetErrorCallback([&]() { ++errors; });
+  close(rfd_);  // the peer is gone: writes fail with EPIPE
+  rfd_ = -1;
+  EXPECT_TRUE(CommitFilled(writer, 100, 'a'));
+  writer.Flush();
+  EXPECT_EQ(errors, 0);
+  loop.RunForMs(5);
+  EXPECT_EQ(errors, 1);
+  EXPECT_EQ(writer.stats().frames_abandoned, 1);
+  EXPECT_FALSE(writer.attached());
 }
 
 TEST_F(FramedWriterTest, ResetCountsAbandonedFramesAndBytes) {

@@ -3,6 +3,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/scope.h"
@@ -33,6 +34,59 @@ TEST_F(ScopeBufferedTest, BufferedSignalDisplaysWithDelay) {
   EXPECT_FALSE(scope_.LatestValue(id).has_value() && *scope_.LatestValue(id) == 42.0);
   loop_.RunForMs(60);
   EXPECT_DOUBLE_EQ(scope_.LatestValue(id).value_or(-1), 42.0);
+}
+
+TEST_F(ScopeBufferedTest, DrainedScopeEchoesEachSampleAtItsDeadline) {
+  // The stream server's session scopes: an every-sample tap, delay 50,
+  // period 10.  Each drain brings the timer forward to the earliest queued
+  // deadline, so samples stamped 3, 7 and 12 reach the tap at scope time
+  // 53, 57 and 62 - not at the period ticks 60, 60 and 70, and never early.
+  SignalId id = scope_.AddSignal({.name = "ev", .source = BufferSource{}});
+  scope_.SetDelayMs(50);
+  std::vector<std::pair<int64_t, int64_t>> seen;  // (stamp, scope time)
+  scope_.SetBufferedTap([&](std::string_view, int64_t time_ms, double) {
+    seen.emplace_back(time_ms, scope_.NowMs());
+  });
+  int64_t drains = 0;
+  ASSERT_TRUE(scope_.StartDraining([&]() { ++drains; }));
+  ASSERT_TRUE(scope_.PushBuffered("ev", 3, 3.0));
+  ASSERT_TRUE(scope_.PushBuffered("ev", 7, 7.0));
+  ASSERT_TRUE(scope_.PushBuffered("ev", 12, 12.0));
+  loop_.RunForMs(100);
+  using Seen = std::vector<std::pair<int64_t, int64_t>>;
+  EXPECT_EQ(seen, (Seen{{3, 53}, {7, 57}, {12, 62}}));
+  // Drained, never painted: no trace column, no sampling point, and one
+  // end-of-drain call per tick.
+  EXPECT_EQ(scope_.TraceFor(id)->size(), 0u);
+  EXPECT_EQ(scope_.counters().samples, 0);
+  EXPECT_EQ(scope_.counters().buffered_routed, 3);
+  EXPECT_EQ(drains, scope_.counters().ticks);
+  EXPECT_EQ(scope_.poll_stats()->lost, 0);
+}
+
+TEST_F(ScopeBufferedTest, DrainedScopeWithCoalescedTapDrainsOnPeriodTicksOnly) {
+  // A coalesced tap keeps one winner per signal per period: its timer is
+  // never brought forward.
+  scope_.AddSignal({.name = "ev", .source = BufferSource{}});
+  scope_.SetDelayMs(50);
+  std::vector<std::pair<int64_t, int64_t>> seen;  // (stamp, scope time)
+  scope_.SetBufferedTap(
+      [&](std::string_view, int64_t time_ms, double) {
+        seen.emplace_back(time_ms, scope_.NowMs());
+      },
+      TapMode::kCoalesced);
+  std::vector<int64_t> drain_times;
+  ASSERT_TRUE(scope_.StartDraining([&]() { drain_times.push_back(scope_.NowMs()); }));
+  ASSERT_TRUE(scope_.PushBuffered("ev", 3, 3.0));
+  ASSERT_TRUE(scope_.PushBuffered("ev", 7, 7.0));
+  ASSERT_TRUE(scope_.PushBuffered("ev", 12, 12.0));
+  loop_.RunForMs(100);
+  ASSERT_FALSE(drain_times.empty());
+  for (int64_t t : drain_times) {
+    EXPECT_EQ(t % 10, 0) << "drain off the period grid at " << t;
+  }
+  using Seen = std::vector<std::pair<int64_t, int64_t>>;
+  EXPECT_EQ(seen, (Seen{{7, 60}, {12, 70}}));
 }
 
 TEST_F(ScopeBufferedTest, LateDataDropped) {

@@ -264,6 +264,64 @@ TEST_F(StreamTest, RefusedConnectSurfacedNotSilentlyConnected) {
   EXPECT_FALSE(client.SendTuple({0, 2.0, "x"}));
 }
 
+TEST_F(StreamTest, RefusedConnectDropsPreconnectEvictionsOnce) {
+  // Ten tuples queued behind a refused handshake under kDropOldest with a
+  // 64-byte cap: the older ones are evicted to make room, yet none ever
+  // left the process.  Each ends in exactly one outcome - dropped, never
+  // also evicted.
+  uint16_t dead_port = 0;
+  { Socket probe = Socket::Listen(0, &dead_port); }
+
+  StreamClient::Options opts;
+  opts.max_buffer = 64;
+  opts.overflow_policy = OverflowPolicy::kDropOldest;
+  StreamClient client(&loop_, opts);
+  bool resolved = false;
+  client.SetConnectCallback([&](bool, int) { resolved = true; });
+  if (!client.Connect(dead_port)) {
+    // The kernel refused synchronously: still surfaced, never "connected".
+    EXPECT_EQ(client.state(), ConnectState::kFailed);
+    EXPECT_FALSE(client.connected());
+    return;
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(client.Send(i, static_cast<double>(i), "preconnect_sig"));
+  }
+  EXPECT_GT(client.stats().tuples_evicted, 0);  // the cap did evict
+
+  ASSERT_TRUE(RunUntil([&]() { return resolved; }));
+  EXPECT_EQ(client.state(), ConnectState::kFailed);
+  const StreamClient::Stats& s = client.stats();
+  EXPECT_EQ(s.tuples_sent + s.tuples_dropped, 10);
+  EXPECT_EQ(s.tuples_sent, 0);
+  EXPECT_EQ(s.tuples_evicted, 0);
+  EXPECT_EQ(s.tuples_abandoned, 0);
+}
+
+TEST_F(StreamTest, EstablishedConnectCountsPreconnectEvictionsSentThenEvicted) {
+  // The other side of the decision above: once the handshake completes, a
+  // tuple evicted while it was in flight counts as sent, then evicted, and
+  // the server receives exactly sent - evicted.
+  StreamServer server(&loop_, &scope_);
+  ASSERT_TRUE(server.Listen(0));
+  StreamClient::Options opts;
+  opts.max_buffer = 64;
+  opts.overflow_policy = OverflowPolicy::kDropOldest;
+  StreamClient client(&loop_, opts);
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(client.Send(i, static_cast<double>(i), "preconnect_sig"));
+  }
+  ASSERT_TRUE(RunUntil([&]() { return client.connected() && client.pending_bytes() == 0; }));
+  const StreamClient::Stats& s = client.stats();
+  EXPECT_EQ(s.tuples_sent, 10);
+  EXPECT_GT(s.tuples_evicted, 0);
+  EXPECT_EQ(s.tuples_dropped, 0);
+  ASSERT_TRUE(RunUntil([&]() { return server.stats().tuples >= 10 - s.tuples_evicted; }));
+  loop_.RunForMs(20);
+  EXPECT_EQ(server.stats().tuples, 10 - s.tuples_evicted);
+}
+
 TEST_F(StreamTest, SuccessfulConnectReportedAndPreconnectTuplesCounted) {
   StreamServer server(&loop_, &scope_);
   ASSERT_TRUE(server.Listen(0));
